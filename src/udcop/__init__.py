@@ -3,28 +3,12 @@
 Agents jointly pick a common value while every first proposal of a value
 costs privacy. The package bundles the problem model, a seeded instance
 generator, a deterministic round simulator with once-only reveal
-accounting, five solvers, exact oracles and a sweep harness.
+accounting, five solvers, exact oracles and a sweep harness; import them
+from their modules (``udcop.model``, ``udcop.engine``, ``udcop.solvers``,
+``udcop.oracle``, ``udcop.experiments``).
 """
 
-from udcop.engine import (Outcome, RevealLedger, RoundTrace, SolverParams,
-                          format_trace, metrics, record_reveal, run,
-                          write_trace)
-from udcop.experiments import (MetricsRow, SweepConfig, SweepSummary,
-                               aggregate, rows_to_csv, run_sweep,
-                               summary_to_text, write_outputs)
+from udcop.engine import SolverParams, run
 from udcop.generator import GenConfig, generate
-from udcop.model import (GlobalConstraint, IncompleteAssignmentError,
-                         Instance, InstanceFormatError,
-                         InstanceValidationError, instance_from_json,
-                         instance_to_json, load_instance, save_instance,
-                         solution_cost, validate_instance)
-from udcop.oracle import (OracleResult, SearchSpaceError, exact_optimum_dms,
-                          exact_optimum_enum)
-from udcop.solvers import (SOLVER_KINDS, AgentContext, DboState, DsaState,
-                           EstimateInputs, ImproveMsg, StepResult, ValueMsg,
-                           build_agent_context, dbo_resolve, dbo_send_improve,
-                           dsa_step, dsau_step, estimate_cost, local_eval,
-                           local_eval_all, mo_lex_compare, modcop_dsa_step,
-                           utility_risk)
 
 __version__ = "0.1.0"

@@ -7,9 +7,13 @@ Each round runs three phases:
             on breakout exchange rounds). First-time value announcements
             are charged to the reveal ledger here, including the initial
             random value.
-2. deliver: all messages reach their recipients; agent views update.
+2. deliver: all messages reach their recipients. The all-equal constraint
+            links every pair of agents, so every agent hears every value
+            announcement: the round state is one broadcast ``heard`` vector
+            of last-announced value codes, which each agent reads at its
+            neighbors' indices.
 3. step:    every agent decides (keep / change / weight updates) from the
-            just-delivered views. Adopted values become visible to others
+            just-delivered values. Adopted values become visible to others
             only through the next round's send phase.
 
 The breakout solvers alternate value rounds (odd) and improve rounds
@@ -89,11 +93,6 @@ class RevealLedger:
 
     def total(self) -> float:
         return sum(self.cum)
-
-
-def record_reveal(ledger: RevealLedger, agent: int, entry) -> float:
-    """Charge a revelation; returns the cost paid (0 when already revealed)."""
-    return ledger.record(agent, entry)
 
 
 @dataclass(frozen=True)
@@ -309,7 +308,7 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     w_total = (float(params.penalty) if params.penalty is not None
                else inst.penalty_surrogate())
     ledger = RevealLedger(inst)
-    views = np.full((n, n), -1, dtype=np.int64)   # views[i, j]: j's value code
+    heard = np.full(n, -1, dtype=np.int64)   # heard[j]: j's last announced code
     neighbor_ids = [np.array([j for j in range(n) if j != i], dtype=np.int64)
                     for i in range(n)]
 
@@ -342,7 +341,7 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
 
         # deliver
         for msg in value_msgs:
-            views[:, msg.sender] = msg.value - 1
+            heard[msg.sender] = msg.value - 1
 
         # step
         results: list[StepResult] = []
@@ -350,7 +349,7 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         any_weight = False
         for i, runner in enumerate(runners):
             res, weights_changed = runner.step(
-                rnd, neighbor_ids[i], views[i, neighbor_ids[i]], improve_msgs)
+                rnd, neighbor_ids[i], heard[neighbor_ids[i]], improve_msgs)
             results.append(res)
             any_change = any_change or res.action == "change"
             any_weight = any_weight or weights_changed

@@ -123,7 +123,7 @@ def validate_instance(inst: Instance) -> list[str]:
         extra = [v for v in table if v not in dom]
         if extra:
             out.append(f"unary[{i}]: keys must lie in the agent's domain, got {extra}")
-        neg = {v: c for v, c in table.items() if c < 0}
+        neg = {v: c for v, c in table.items() if not c >= 0}   # NaN too
         if neg:
             out.append(f"unary[{i}]: costs ≥ 0 required, got {neg}")
 
@@ -137,7 +137,7 @@ def validate_instance(inst: Instance) -> list[str]:
         for i, table in enumerate(inst.privacy[: inst.n]):
             dom = set(inst.domains[i]) if i < len(inst.domains) else set()
             for key, cost in table.items():
-                if cost < 0:
+                if not cost >= 0:
                     out.append(f"privacy[{i}]: costs ≥ 0 required, got {key}: {cost}")
                 if inst.kind == "udcop":
                     if key not in dom:
@@ -234,6 +234,15 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(instance_to_json(inst), encoding="utf-8")
 
 
+def _is_int(x) -> bool:
+    # JSON true/false parse to bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -251,13 +260,19 @@ def instance_from_json(text: str) -> Instance:
         raise InstanceFormatError(f"field 'kind': expected one of {'/'.join(KINDS)}, "
                                   f"got {kind!r}")
     n, d = doc["n"], doc["d"]
-    if not isinstance(n, int) or not isinstance(d, int):
+    if not _is_int(n) or not _is_int(d):
         raise InstanceFormatError("fields 'n' and 'd' must be integers")
 
     def parse_domains(raw) -> tuple:
         if not isinstance(raw, list):
             raise InstanceFormatError("field 'domains': expected an array")
-        return tuple(tuple(int(v) for v in dom) for dom in raw)
+        domains = []
+        for i, dom in enumerate(raw):
+            if not isinstance(dom, list) or not all(_is_int(v) for v in dom):
+                raise InstanceFormatError(
+                    f"field 'domains[{i}]': expected an array of integers")
+            domains.append(tuple(dom))
+        return tuple(domains)
 
     def parse_tables(raw, name: str, key_parser) -> tuple:
         if not isinstance(raw, list):
@@ -272,7 +287,7 @@ def instance_from_json(text: str) -> Instance:
                     key = key_parser(k)
                 except ValueError as e:
                     raise InstanceFormatError(f"field '{name}[{i}]': bad key {k!r}") from e
-                if not isinstance(c, (int, float)):
+                if not _is_number(c):
                     raise InstanceFormatError(
                         f"field '{name}[{i}]': cost for {k!r} must be a number")
                 parsed[key] = float(c)
@@ -286,7 +301,7 @@ def instance_from_json(text: str) -> Instance:
     raw_penalty = gc_doc["penalty"]
     if raw_penalty == "inf":
         penalty = math.inf
-    elif isinstance(raw_penalty, (int, float)):
+    elif _is_number(raw_penalty):
         penalty = float(raw_penalty)
     else:
         raise InstanceFormatError("field 'global.penalty': expected a number or \"inf\"")

@@ -116,14 +116,6 @@ def local_eval_all(ctx: AgentContext, neighbor_vals: np.ndarray,
                                      vals, weights, ctx.w_unit)
 
 
-def local_eval(ctx: AgentContext, value: int, neighbor_vals,
-               weights: np.ndarray | None = None,
-               neighbor_ids=None) -> float:
-    """Evaluation of a single value (see :func:`local_eval_all`)."""
-    evals = local_eval_all(ctx, neighbor_vals, weights, neighbor_ids)
-    return float(evals[value - 1])
-
-
 def _best_value(ctx: AgentContext, evals: np.ndarray) -> int:
     # np.argmin takes the first minimum, i.e. the smallest value id.
     return int(np.argmin(evals)) + 1

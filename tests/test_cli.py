@@ -44,6 +44,17 @@ def test_invalid_instance_is_exit_2(tmp_path, capsys):
     assert "n ≥ 1" in capsys.readouterr().err
 
 
+def test_malformed_domain_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "udcop", "n": 2, "d": 2,
+                               "domains": [5, [1, 2]], "unary": [{}, {}],
+                               "privacy": [{}, {}],
+                               "global": {"type": "all_equal", "penalty": 1}}))
+    code = main(["solve", "--in", str(bad), "--algo", "dsa"])
+    assert code == 2
+    assert "domains[0]" in capsys.readouterr().err
+
+
 def test_usage_error_is_exit_1(capsys):
     assert main(["solve", "--algo", "dsa"]) == 1
     assert main(["frobnicate"]) == 1

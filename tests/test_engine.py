@@ -1,7 +1,6 @@
 import pytest
 
-from udcop.engine import (RevealLedger, SolverParams, format_trace, metrics,
-                          record_reveal, run)
+from udcop.engine import RevealLedger, SolverParams, format_trace, metrics, run
 from udcop.generator import GenConfig, generate
 from udcop.model import GlobalConstraint, Instance, InstanceValidationError
 from udcop.presets import scripted_meeting_params, three_student_meeting
@@ -12,23 +11,23 @@ MEETING = three_student_meeting()
 class TestRevealLedger:
     def test_first_reveal_charges_full_cost(self):
         ledger = RevealLedger(MEETING)
-        assert record_reveal(ledger, 0, 1) == 80.0
+        assert ledger.record(0, 1) == 80.0
 
     def test_repeat_reveal_is_free(self):
         ledger = RevealLedger(MEETING)
-        record_reveal(ledger, 0, 1)
-        assert record_reveal(ledger, 0, 1) == 0.0
+        ledger.record(0, 1)
+        assert ledger.record(0, 1) == 0.0
         assert ledger.cum[0] == 80.0
 
     def test_constraint_id_reveal(self):
         pc = three_student_meeting("udcoppc")
         ledger = RevealLedger(pc)
-        assert record_reveal(ledger, 1, "c3") == 10.0
+        assert ledger.record(1, "c3") == 10.0
 
     def test_unknown_entry_rejected(self):
         ledger = RevealLedger(MEETING)
         with pytest.raises(ValueError):
-            record_reveal(ledger, 0, 9)
+            ledger.record(0, 9)
 
 
 class TestScriptedMeetingRun:
@@ -154,10 +153,10 @@ class TestValueVisibilityDelay:
 class TestMetrics:
     def test_meeting_outcome_decomposition(self):
         ledger = RevealLedger(MEETING)
-        record_reveal(ledger, 0, 1)
-        record_reveal(ledger, 1, 1)
-        record_reveal(ledger, 2, 3)
-        record_reveal(ledger, 2, 1)
+        ledger.record(0, 1)
+        ledger.record(1, 1)
+        ledger.record(2, 3)
+        ledger.record(2, 1)
         out = metrics(MEETING, ledger, (1, 1, 1))
         assert out.per_agent_utilities == pytest.approx((150.0, 220.0, 130.0))
         assert out.satisfied
@@ -217,24 +216,3 @@ class TestDsauEstimateInvariant:
         for prev, cur in zip(traces, traces[1:]):
             assert sum(cur.est_current) <= sum(prev.est_current) + 1e-9
 
-
-class TestBackendParity:
-    @pytest.fixture()
-    def both_backends(self):
-        from udcop import kernels
-        if "compiled" not in kernels.available_backends():
-            pytest.skip("compiled kernels not built")
-        original = kernels.backend_name()
-        yield kernels
-        kernels.set_backend(original)
-
-    def test_runs_identical_across_backends(self, both_backends):
-        kernels = both_backends
-        inst = generate(GenConfig(n=10, d=8, density=0.4, seed=55))
-        results = {}
-        for backend in ("compiled", "python"):
-            kernels.set_backend(backend)
-            outcome, traces = run(inst, "dbo", SolverParams(), seed=21,
-                                  round_budget=40)
-            results[backend] = (outcome, format_trace(traces))
-        assert results["compiled"] == results["python"]

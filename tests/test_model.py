@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,34 @@ def test_negative_privacy_cost_rejected_on_load():
     doc["privacy"][0]["1"] = -5
     with pytest.raises(InstanceValidationError, match="costs ≥ 0"):
         instance_from_json(json.dumps(doc))
+
+
+def _meeting_doc_with(path, value):
+    doc = json.loads(instance_to_json(three_student_meeting()))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("path, value, error, field", [
+    (("domains", 0), 5, InstanceFormatError, "domains[0]"),
+    (("domains", 1), [1, 1.7, 3], InstanceFormatError, "domains[1]"),
+    (("domains", 2), [1, True], InstanceFormatError, "domains[2]"),
+    (("n",), True, InstanceFormatError, "'n'"),
+    (("unary", 0, "1"), True, InstanceFormatError, "unary[0]"),
+    (("privacy", 1, "2"), False, InstanceFormatError, "privacy[1]"),
+    (("global", "penalty"), True, InstanceFormatError, "global.penalty"),
+    (("unary", 0, "1"), math.nan, InstanceValidationError, "unary[0]"),
+    (("privacy", 2, "3"), math.nan, InstanceValidationError, "privacy[2]"),
+], ids=["domain-not-array", "float-domain-value", "bool-domain-value", "bool-n",
+        "bool-unary-cost", "bool-privacy-cost", "bool-penalty", "nan-unary-cost",
+        "nan-privacy-cost"])
+def test_bad_field_value_rejected_on_load(path, value, error, field):
+    with pytest.raises(error, match=re.escape(field)):
+        instance_from_json(_meeting_doc_with(path, value))
 
 
 def test_malformed_json_reports_line():

@@ -7,7 +7,7 @@ from udcop.model import GlobalConstraint, Instance
 from udcop.presets import three_student_meeting
 from udcop.solvers import (DsaState, EstimateInputs, build_agent_context,
                            dbo_resolve, dbo_send_improve, dsa_step, dsau_step,
-                           estimate_cost, local_eval, mo_lex_compare,
+                           estimate_cost, local_eval_all, mo_lex_compare,
                            modcop_dsa_step, new_dbo_state, utility_risk,
                            apply_weight_increments, ImproveMsg)
 
@@ -74,12 +74,12 @@ class TestLocalEval:
     def test_one_conflict_with_unit_weight(self):
         ctx = ctx_for(0, penalty=2000.0)   # two neighbors -> w_unit = 1000
         assert ctx.w_unit == pytest.approx(1000.0)
-        got = local_eval(ctx, 1, np.array([0, 2]))   # codes: x2=1, x3=3
+        got = local_eval_all(ctx, np.array([0, 2]))[0]   # codes: x2=1, x3=3
         assert got == pytest.approx(70.0 + 1000.0)
 
     def test_no_conflicts_is_unary_only(self):
         ctx = ctx_for(1)
-        got = local_eval(ctx, 1, np.array([0, 0]))
+        got = local_eval_all(ctx, np.array([0, 0]))[0]
         assert got == pytest.approx(120.0)
 
     def test_eval_linear_in_weights(self):
@@ -87,14 +87,14 @@ class TestLocalEval:
         weights = np.ones((3, 3, 3), dtype=np.int64)
         ids = np.array([1, 2], dtype=np.int64)
         vals = np.array([0, 2], dtype=np.int64)
-        base = local_eval(ctx, 1, vals, weights=weights, neighbor_ids=ids)
+        base = local_eval_all(ctx, vals, weights=weights, neighbor_ids=ids)[0]
         weights[2, 0, 2] = 2
-        bumped = local_eval(ctx, 1, vals, weights=weights, neighbor_ids=ids)
+        bumped = local_eval_all(ctx, vals, weights=weights, neighbor_ids=ids)[0]
         assert bumped - base == pytest.approx(ctx.w_unit)
 
     def test_unknown_neighbors_do_not_conflict(self):
         ctx = ctx_for(0)
-        got = local_eval(ctx, 1, np.array([-1, -1]))
+        got = local_eval_all(ctx, np.array([-1, -1]))[0]
         assert got == pytest.approx(70.0)
 
 
