@@ -1,34 +1,42 @@
 """Deterministic synchronous round simulator with privacy accounting.
 
+The round state of all agents is held in arrays: ``values`` (int64[n]),
+``heard`` (int64[n], each agent's last announced 0-based code, -1 before
+its first announcement), ``revealed`` (bool[n, d], the values each agent
+has announced) and ``pending`` (bool[n], a value announcement is queued).
+The breakout solvers add a `solvers.BreakoutState`: offers, target values,
+consistency flags, termination counters and the breakout weights, stored
+sparsely as their excess over 1 for the entries actually raised, so their
+memory follows the raised entries rather than n²d².
+
 Each round runs three phases:
 
-1. send:    every agent emits its queued messages (a value announcement on
-            the first round or after adopting a new value; an improve offer
-            on breakout exchange rounds). First-time value announcements
-            are charged to the reveal ledger here, including the initial
-            random value.
+1. send:    every agent with a queued value announcement sends it (on the
+            first round and after adopting a new value); on breakout
+            exchange rounds every agent sends its improve offer instead.
+            First-time value announcements are charged to the reveal
+            ledger here, including the initial random value.
 2. deliver: all messages reach their recipients. The all-equal constraint
-            links every pair of agents, so every agent hears every value
-            announcement: the round state is one broadcast ``heard`` vector
-            of last-announced value codes, which each agent reads at its
-            neighbors' indices.
-3. step:    every agent decides (keep / change / weight updates) from the
-            just-delivered values. Adopted values become visible to others
-            only through the next round's send phase.
+            links every pair of agents, so every agent hears every
+            announcement: delivery updates the one broadcast ``heard``
+            vector, and every agent's neighborhood is all other agents.
+3. step:    one array step decides for all agents (keep / change / weight
+            updates) from the just-delivered values, with one (n, d)
+            evaluation; random draws come from each agent's own stream.
+            Adopted values become visible to others only through the next
+            round's send phase.
 
 The breakout solvers alternate value rounds (odd) and improve rounds
 (even), so one of their exchange cycles spans two engine rounds.
 
 A run stops at the round budget or after two consecutive quiet rounds (no
 value adoption and no weight change). Given (instance, solver, params,
-seed) the full trace is reproducible bit for bit; agents are stepped in
-index order but only ever observe previous-phase state, so the order is
-unobservable.
+seed) the full trace is reproducible bit for bit: agents only ever observe
+previous-phase state.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,11 +47,7 @@ import numpy as np
 from udcop import solvers
 from udcop.model import Instance, InstanceValidationError, validate_instance
 from udcop.rng import STREAM_SOLVER, agent_stream
-from udcop.solvers import (SOLVER_KINDS, AgentContext, DsaState, ImproveMsg,
-                           StepResult, ValueMsg, build_agent_context,
-                           new_dbo_state)
-
-logger = logging.getLogger(__name__)
+from udcop.solvers import SOLVER_KINDS, build_agent_context
 
 TRACE_FIELDS = ("round", "agent", "action", "value", "revealed", "charged",
                 "est_current", "est_next", "cum_privacy")
@@ -169,120 +173,26 @@ def metrics(inst: Instance, ledger: RevealLedger, assignment: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Per-agent runners wiring solver steps into the round protocol
-# ---------------------------------------------------------------------------
-
-class _ValueSearchRunner:
-    """dsa / dsau / molex: one value announcement + one decision per round."""
-
-    def __init__(self, algo: str, ctx: AgentContext, params: SolverParams,
-                 rng: np.random.Generator, initial: int):
-        self.algo = algo
-        self.ctx = ctx
-        self.params = params
-        self.rng = rng
-        self.state = DsaState(value=initial, p=params.p)
-        self.pending_send = True
-
-    @property
-    def value(self) -> int:
-        return self.state.value
-
-    def emit(self, rnd: int):
-        if self.pending_send:
-            self.pending_send = False
-            return ValueMsg(self.ctx.index, self.state.value)
-        return None
-
-    def step(self, rnd: int, neighbor_ids, neighbor_vals,
-             improve_msgs) -> tuple[StepResult, bool]:
-        scripted = self._scripted_candidate(rnd)
-        if self.algo == "dsa":
-            res = solvers.dsa_step(self.state, self.ctx, neighbor_vals, self.rng)
-        elif self.algo == "dsau":
-            res = solvers.dsau_step(self.state, self.ctx, neighbor_vals,
-                                    self.rng, candidate=scripted)
-        else:
-            res = solvers.modcop_dsa_step(self.state, self.ctx, self.rng,
-                                          candidate=scripted)
-        if res.action == "change":
-            self.state.value = res.value
-            self.pending_send = True
-        return res, False
-
-    def _scripted_candidate(self, rnd: int) -> int | None:
-        script = self.params.candidate_script
-        if rnd - 1 < len(script):
-            return script[rnd - 1].get(self.ctx.index)
-        return None
-
-
-class _BreakoutRunner:
-    """dbo / dbou: value rounds (odd) alternate with improve rounds (even)."""
-
-    def __init__(self, algo: str, ctx: AgentContext, params: SolverParams,
-                 rng: np.random.Generator, initial: int):
-        self.gated = algo == "dbou"
-        self.ctx = ctx
-        self.state = new_dbo_state(initial, ctx.n, ctx.d)
-        self.pending_send = True
-        self.pending_improve: ImproveMsg | None = None
-
-    @property
-    def value(self) -> int:
-        return self.state.value
-
-    def emit(self, rnd: int):
-        if rnd % 2 == 1:
-            if self.pending_send:
-                self.pending_send = False
-                return ValueMsg(self.ctx.index, self.state.value)
-            return None
-        return self.pending_improve
-
-    def step(self, rnd: int, neighbor_ids, neighbor_vals,
-             improve_msgs) -> tuple[StepResult, bool]:
-        if rnd % 2 == 1:
-            self.pending_improve, res = solvers.dbo_send_improve(
-                self.state, self.ctx, neighbor_ids, neighbor_vals,
-                gate_estimates=self.gated)
-            return res, False
-        missing = [int(j) for j in neighbor_ids if int(j) not in improve_msgs]
-        if missing:
-            logger.warning("agent %d round %d: no improve message from %s, "
-                           "treating as improve 0", self.ctx.index, rnd, missing)
-        res, increments = solvers.dbo_resolve(self.state, self.ctx,
-                                              improve_msgs, neighbor_ids,
-                                              neighbor_vals)
-        solvers.apply_weight_increments(self.state, increments)
-        if res.action == "change":
-            self.state.value = res.value
-            self.pending_send = True
-        return res, bool(increments)
-
-
-def _make_runner(algo: str, inst: Instance, agent: int, params: SolverParams,
-                 rng: np.random.Generator) -> _ValueSearchRunner | _BreakoutRunner:
-    ctx = build_agent_context(inst, agent, penalty=params.penalty,
-                              divisor_mode=params.divisor_mode,
-                              conflict_guard=not params.pure_alg2)
-    if params.initial_values is not None:
-        initial = params.initial_values[agent]
-        if initial not in ctx.domain_values:
-            raise ValueError(f"agent {agent}: scripted initial value {initial} "
-                             "is outside its domain")
-    else:
-        initial = ctx.domain_values[int(rng.integers(0, len(ctx.domain_values)))]
-    if algo in ("dbo", "dbou"):
-        return _BreakoutRunner(algo, ctx, params, rng, initial)
-    return _ValueSearchRunner(algo, ctx, params, rng, initial)
-
-
-# ---------------------------------------------------------------------------
 # The run loop
 # ---------------------------------------------------------------------------
 
 QUIET_ROUNDS_TO_STOP = 2
+
+
+def _initial_values(tables: solvers.AgentTables, params: SolverParams,
+                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    scripted = params.initial_values
+    if scripted is None:
+        return solvers.draw_values(tables, rngs)
+    n = len(tables.domains)
+    if len(scripted) != n:
+        raise ValueError(f"initial_values: expected {n} values, one per agent, "
+                         f"got {len(scripted)}")
+    for agent, (value, dom) in enumerate(zip(scripted, tables.domains)):
+        if value not in dom:
+            raise ValueError(f"agent {agent}: scripted initial value {value} "
+                             "is outside its domain")
+    return np.array(scripted, dtype=np.int64)
 
 
 def run(inst: Instance, solver: str, params: SolverParams | None = None,
@@ -302,15 +212,22 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     params = params or SolverParams()
 
     n = inst.n
-    runners = [_make_runner(solver, inst, i, params,
-                            agent_stream(seed, STREAM_SOLVER, i))
-               for i in range(n)]
+    rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]
+    tables = solvers.stack_contexts([
+        build_agent_context(inst, i, penalty=params.penalty,
+                            divisor_mode=params.divisor_mode,
+                            conflict_guard=not params.pure_alg2)
+        for i in range(n)])
+    values = _initial_values(tables, params, rngs)
     w_total = (float(params.penalty) if params.penalty is not None
                else inst.penalty_surrogate())
     ledger = RevealLedger(inst)
-    heard = np.full(n, -1, dtype=np.int64)   # heard[j]: j's last announced code
-    neighbor_ids = [np.array([j for j in range(n) if j != i], dtype=np.int64)
-                    for i in range(n)]
+    heard = np.full(n, -1, dtype=np.int64)       # heard[j]: j's last announced code
+    revealed = np.zeros((n, inst.d), dtype=bool)  # values each agent announced
+    pending = np.ones(n, dtype=bool)             # value announcements queued
+    breakout = (solvers.new_breakout_state(values) if solver in ("dbo", "dbou")
+                else None)
+    script = params.candidate_script
 
     traces: list[RoundTrace] = []
     messages = 0
@@ -319,65 +236,67 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
 
     for rnd in range(1, round_budget + 1):
         rounds_used = rnd
-        # send
-        new_entries: list[list] = [[] for _ in range(n)]
+        value_round = breakout is None or rnd % 2 == 1
+        # send and deliver
+        new_entries: list[tuple] = [()] * n
         charged = [0.0] * n
-        value_msgs: list[ValueMsg] = []
-        improve_msgs: dict[int, ImproveMsg] = {}
-        for i, runner in enumerate(runners):
-            msg = runner.emit(rnd)
-            if msg is None:
-                continue
-            messages += n - 1
-            if isinstance(msg, ValueMsg):
-                entry = inst.reveal_entry(i, msg.value)
+        if value_round:
+            senders = np.flatnonzero(pending)
+            pending[:] = False
+            for i in senders.tolist():
+                entry = inst.reveal_entry(i, int(values[i]))
                 if entry not in ledger.entries[i]:
-                    new_entries[i].append(entry)
-                charged[i] += ledger.record(i, entry)
-                runner.state.revealed.add(msg.value)
-                value_msgs.append(msg)
-            else:
-                improve_msgs[i] = msg
-
-        # deliver
-        for msg in value_msgs:
-            heard[msg.sender] = msg.value - 1
+                    new_entries[i] = (entry,)
+                charged[i] = ledger.record(i, entry)
+            codes = values[senders] - 1
+            revealed[senders, codes] = True
+            heard[senders] = codes
+            messages += (n - 1) * len(senders)
+        else:
+            messages += (n - 1) * n              # every agent sends its offer
 
         # step
-        results: list[StepResult] = []
-        any_change = False
-        any_weight = False
-        for i, runner in enumerate(runners):
-            res, weights_changed = runner.step(
-                rnd, neighbor_ids[i], heard[neighbor_ids[i]], improve_msgs)
-            results.append(res)
-            any_change = any_change or res.action == "change"
-            any_weight = any_weight or weights_changed
+        scripted = script[rnd - 1] if rnd - 1 < len(script) else None
+        weights_changed = False
+        if solver == "dsa":
+            res = solvers.dsa_step(tables, values, heard, params.p, rngs)
+        elif solver == "dsau":
+            res = solvers.dsau_step(tables, values, heard, revealed, rngs, scripted)
+        elif solver == "molex":
+            res = solvers.modcop_dsa_step(tables, values, rngs, scripted)
+        elif value_round:
+            res = solvers.dbo_send_improve(breakout, tables, values, heard, revealed,
+                                           gate_estimates=solver == "dbou")
+        else:
+            res, increments = solvers.dbo_resolve(breakout, tables, values, heard)
+            solvers.apply_weight_increments(breakout.weights, increments)
+            weights_changed = increments.size > 0
+        values = np.where(res.change, res.candidate, values)
+        pending |= res.change
 
-        assignment = tuple(r.value for r in runners)
-        agree = len(set(assignment)) <= 1
-        quality = sum(inst.unary_cost(i, v) for i, v in enumerate(assignment))
-        if not agree:
+        assignment = tuple(values.tolist())
+        quality = sum(tables.unary[np.arange(n), values - 1].tolist())
+        if len(set(assignment)) > 1:
             quality += w_total
         traces.append(RoundTrace(
             round=rnd,
-            actions=tuple(r.action for r in results),
+            actions=tuple("change" if c else "keep" for c in res.change.tolist()),
             values=assignment,
-            candidates=tuple(r.candidate for r in results),
-            revealed=tuple(tuple(e) for e in new_entries),
+            candidates=tuple(res.candidate.tolist()),
+            revealed=tuple(new_entries),
             charged=tuple(charged),
-            est_current=tuple(r.est_current for r in results),
-            est_next=tuple(r.est_next for r in results),
-            cum_privacy=tuple(float(c) for c in ledger.cum),
+            est_current=tuple(res.est_current.tolist()),
+            est_next=tuple(res.est_next.tolist()),
+            cum_privacy=tuple(ledger.cum),
             quality=quality,
             total_privacy=ledger.total(),
         ))
 
-        quiet = quiet + 1 if not (any_change or any_weight) else 0
+        quiet = quiet + 1 if not (res.change.any() or weights_changed) else 0
         if quiet >= QUIET_ROUNDS_TO_STOP:
             break
 
-    outcome = metrics(inst, ledger, tuple(r.value for r in runners),
+    outcome = metrics(inst, ledger, tuple(values.tolist()),
                       rounds=rounds_used, messages=messages,
                       penalty=w_total)
     return outcome, traces

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from scipy import stats
-
 from udcop.engine import SolverParams, run
 from udcop.generator import GenConfig, generate
 from udcop.rng import derive_seed
@@ -145,6 +143,10 @@ def _mean_hw(xs: Sequence[float]) -> tuple[float, float]:
     mean = sum(xs) / k
     if k < 2:
         return mean, 0.0
+    # Imported on first use: loading scipy.stats takes about a second,
+    # which the commands other than `sweep` should not pay.
+    from scipy import stats
+
     var = sum((x - mean) ** 2 for x in xs) / (k - 1)
     hw = float(stats.t.ppf(0.975, k - 1)) * (var ** 0.5) / (k ** 0.5)
     return mean, hw

@@ -1,10 +1,11 @@
 """Numpy evaluation kernels of the round loop.
 
-Both functions score every value of an agent's slot range at once: the
-unary cost plus a penalty for each visible neighbor holding a different
-value. Conflicts are counted in integer arithmetic and scaled by the
-per-pair penalty once at the end, so a result does not depend on the
-order in which the neighbors are summed.
+Both evaluation functions score every value of every agent at once: the
+unary cost plus a penalty for each other agent heard on a different value.
+Conflicts are counted in integer arithmetic and scaled by the per-pair
+penalty once at the end, so a result does not depend on the order in which
+the agents are summed. This module also owns the flat key layout of the
+sparse breakout weights.
 """
 
 from __future__ import annotations
@@ -17,26 +18,45 @@ def backend_name() -> str:
     return "python"
 
 
-def eval_all_unit(unary_eval, neighbor_vals, w_unit):
-    """Evaluation of every value: unary cost + w_unit per disagreeing neighbor.
+def _conflicts(heard, d):
+    """int64[n, d]: for agent i and code v, the other agents heard on a code
+    other than v, i.e. m_i - bincount(heard)[v] + [heard_i == v]."""
+    known = heard >= 0
+    counts = np.bincount(heard[known], minlength=d)
+    conflicts = (np.count_nonzero(known) - known)[:, None] - counts
+    heard_agents = np.flatnonzero(known)
+    conflicts[heard_agents, heard[heard_agents]] += 1
+    return conflicts
 
-    unary_eval: float64[d], +inf on slots outside the agent's domain.
-    neighbor_vals: int64[m], 0-based value codes of the visible neighbors.
+
+def eval_all_unit(unary_eval, heard, w_unit):
+    """Evaluation of every value: unary cost + w_unit per disagreeing agent.
+
+    unary_eval: float64[n, d], +inf on slots outside each agent's domain.
+    heard: int64[n], each agent's last announced 0-based code, -1 if none.
     """
-    d = unary_eval.shape[0]
-    m = neighbor_vals.shape[0]
-    counts = np.bincount(neighbor_vals, minlength=d)
-    return unary_eval + w_unit * (m - counts).astype(np.float64)
+    return unary_eval + w_unit * _conflicts(heard, unary_eval.shape[1]).astype(np.float64)
 
 
-def eval_all_weighted(unary_eval, neighbor_ids, neighbor_vals, weights, w_unit):
+def weight_keys(n, d, agent, neighbor, neighbor_code, own_code):
+    """Flat keys ((agent·n + neighbor)·d + neighbor_code)·d + own_code of
+    breakout weight entries: agent's weight for the pair (self = own_code,
+    neighbor = neighbor_code)."""
+    return np.ravel_multi_index((agent, neighbor, neighbor_code, own_code), (n, n, d, d))
+
+
+def eval_all_weighted(unary_eval, heard, w_unit, keys, counts):
     """Weighted variant: each disagreeing pair contributes its breakout weight.
 
-    weights: int64[n, d, d]; weights[j, v, w] is this agent's weight for the
-    pair (self=v, neighbor j=w). Unviolated pairs keep their initial weight 1.
+    The weights are 1 plus an excess given sparsely: `counts[k]` for the
+    entry at `keys[k]` (see `weight_keys`). Raised entries always pair two
+    different codes, so an entry adds to the conflicts exactly when its
+    neighbor is heard on its neighbor_code.
     """
-    d = unary_eval.shape[0]
-    picked = weights[neighbor_ids, :, neighbor_vals]          # (m, d)
-    mask = neighbor_vals[:, None] != np.arange(d)[None, :]
-    conflict = (picked * mask).sum(axis=0, dtype=np.int64)
-    return unary_eval + w_unit * conflict.astype(np.float64)
+    n, d = unary_eval.shape
+    agent, neighbor, neighbor_code, own_code = np.unravel_index(keys, (n, n, d, d))
+    live = neighbor_code == heard[neighbor]
+    excess = np.bincount(agent[live] * d + own_code[live], weights=counts[live],
+                         minlength=n * d).astype(np.int64)
+    conflicts = _conflicts(heard, d) + excess.reshape(n, d)
+    return unary_eval + w_unit * conflicts.astype(np.float64)

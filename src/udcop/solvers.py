@@ -1,4 +1,4 @@
-"""Per-agent step logic for the five solvers.
+"""Step logic of the five solvers, one array step for all agents per round.
 
 * ``dsa``   -- stochastic local search: move to the best-evaluated value
   with activation probability p when it strictly improves.
@@ -12,14 +12,20 @@
 * ``molex`` -- baseline that compares (privacy, cost) pairs of candidate
   and current value lexicographically, privacy first.
 
-All step functions are deterministic given (state, view, rng draws); value
-adoption and reveal accounting are applied by the engine.
+Every step takes the round state of all agents as arrays -- ``values``
+(int64[n], 1-based), ``heard`` (int64[n], each agent's last announced
+0-based code, -1 before its first announcement) and ``revealed`` (bool[n, d],
+the values each agent has announced) -- and returns one `StepResult` for all
+agents. The all-equal constraint links every pair of agents, so each
+agent's neighborhood is all the other agents. Random draws come from each
+agent's own stream, in the same order as a per-agent loop would make them.
+Value adoption and reveal accounting are applied by the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,37 +36,17 @@ SOLVER_KINDS = ("dsa", "dsau", "dbo", "dbou", "molex")
 
 
 # ---------------------------------------------------------------------------
-# Messages
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ValueMsg:
-    sender: int
-    value: int
-
-
-@dataclass(frozen=True)
-class ImproveMsg:
-    sender: int
-    improve: float
-    eval: float
-    termination_counter: int
-
-
-# ---------------------------------------------------------------------------
-# Agent-local context and evaluation
+# Agent-local context and the stacked tables of all agents
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AgentContext:
-    """Read-only per-agent slice of an instance, prepared for the hot loop."""
+    """Read-only per-agent slice of an instance, prepared for the round step."""
 
-    index: int
-    n: int
     d: int
     domain_values: tuple[int, ...]
-    unary_map: Mapping[int, float]
-    privacy_map: Mapping[int, float]
+    unary: np.ndarray               # float64[d], 0 for values without a cost
+    privacy: np.ndarray             # float64[d], reveal cost of each value
     eval_unary: np.ndarray          # float64[d], +inf outside the domain
     w_unit: float                   # per-conflicting-pair penalty
     divisor_mode: str = "revealed"
@@ -78,18 +64,17 @@ def build_agent_context(inst: Instance, agent: int, *, penalty: float | None = N
     w_total = float(penalty) if penalty is not None else inst.penalty_surrogate()
     w_unit = w_total / (inst.n - 1) if inst.n > 1 else 0.0
     dom = tuple(sorted(inst.domains[agent]))
+    unary = np.zeros(inst.d, dtype=np.float64)
+    privacy = np.zeros(inst.d, dtype=np.float64)
     eval_unary = np.full(inst.d, np.inf, dtype=np.float64)
     for v in dom:
-        eval_unary[v - 1] = inst.unary_cost(agent, v)
-    privacy = {v: inst.reveal_cost(agent, v) for v in dom}
-    unary = {v: inst.unary_cost(agent, v) for v in dom if v in inst.unary[agent]}
+        unary[v - 1] = eval_unary[v - 1] = inst.unary_cost(agent, v)
+        privacy[v - 1] = inst.reveal_cost(agent, v)
     return AgentContext(
-        index=agent,
-        n=inst.n,
         d=inst.d,
         domain_values=dom,
-        unary_map=unary,
-        privacy_map=privacy,
+        unary=unary,
+        privacy=privacy,
         eval_unary=eval_unary,
         w_unit=w_unit,
         divisor_mode=divisor_mode,
@@ -97,282 +82,286 @@ def build_agent_context(inst: Instance, agent: int, *, penalty: float | None = N
     )
 
 
-def local_eval_all(ctx: AgentContext, neighbor_vals: np.ndarray,
-                   weights: np.ndarray | None = None,
-                   neighbor_ids: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate every value: unary cost plus conflict penalties against the
-    visible neighbor values (codes are 0-based; negative codes mean the
-    neighbor has not been heard from and are skipped)."""
-    vals = np.asarray(neighbor_vals, dtype=np.int64)
-    known = vals >= 0
-    if not known.all():
-        vals = vals[known]
-        if neighbor_ids is not None:
-            neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)[known]
+@dataclass(frozen=True)
+class AgentTables:
+    """The contexts of all agents stacked into (n, d) tables."""
+
+    domains: tuple[tuple[int, ...], ...]
+    domain_sizes: np.ndarray        # int64[n]
+    unary: np.ndarray               # float64[n, d]
+    privacy: np.ndarray             # float64[n, d]
+    eval_unary: np.ndarray          # float64[n, d]
+    w_unit: float
+    divisor_mode: str
+    conflict_guard: bool
+
+
+def stack_contexts(contexts: Sequence[AgentContext]) -> AgentTables:
+    """Stack per-agent contexts (agent i at index i) built with one set of
+    solver parameters."""
+    first = contexts[0]
+    return AgentTables(
+        domains=tuple(c.domain_values for c in contexts),
+        domain_sizes=np.array([len(c.domain_values) for c in contexts], dtype=np.int64),
+        unary=np.stack([c.unary for c in contexts]),
+        privacy=np.stack([c.privacy for c in contexts]),
+        eval_unary=np.stack([c.eval_unary for c in contexts]),
+        w_unit=first.w_unit,
+        divisor_mode=first.divisor_mode,
+        conflict_guard=first.conflict_guard,
+    )
+
+
+@dataclass
+class ExcessWeights:
+    """Breakout weights above their initial 1, kept only for raised entries.
+
+    `keys` are ascending flat indices of (agent, neighbor, neighbor_code,
+    own_code) entries (see `kernels.weight_keys`) and `counts` the excess
+    of each, so memory follows the entries raised rather than n²d².
+    """
+
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+
+def local_eval_all(tables: AgentTables, heard: np.ndarray,
+                   weights: ExcessWeights | None = None) -> np.ndarray:
+    """float64[n, d]: every agent's evaluation of every value -- unary cost
+    plus conflict penalties against the other agents' heard codes (agents
+    not heard from yet are skipped), weighted by `weights` when given."""
     if weights is None:
-        return kernels.eval_all_unit(ctx.eval_unary, vals, ctx.w_unit)
-    return kernels.eval_all_weighted(ctx.eval_unary,
-                                     np.asarray(neighbor_ids, dtype=np.int64),
-                                     vals, weights, ctx.w_unit)
+        return kernels.eval_all_unit(tables.eval_unary, heard, tables.w_unit)
+    return kernels.eval_all_weighted(tables.eval_unary, heard, tables.w_unit,
+                                     weights.keys, weights.counts)
 
 
-def _best_value(ctx: AgentContext, evals: np.ndarray) -> int:
-    # np.argmin takes the first minimum, i.e. the smallest value id.
-    return int(np.argmin(evals)) + 1
+def draw_values(tables: AgentTables, rngs: Sequence[np.random.Generator],
+                scripted: Mapping[int, int] | None = None) -> np.ndarray:
+    """int64[n]: `scripted[i]` where given, else a uniform draw from agent
+    i's domain on agent i's own stream."""
+    scripted = scripted or {}
+    out = []
+    for i, (dom, rng) in enumerate(zip(tables.domains, rngs)):
+        value = scripted.get(i)
+        out.append(dom[int(rng.integers(0, len(dom)))] if value is None else value)
+    return np.array(out, dtype=np.int64)
+
+
+def _at(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each agent's entry of an (n, d) table at its 1-based value."""
+    return table[np.arange(len(values)), values - 1]
 
 
 # ---------------------------------------------------------------------------
 # Revelation-aware cost estimate
 # ---------------------------------------------------------------------------
 
-def utility_risk(domain_size: int) -> float:
-    """Apriori chance that a value of a |D|-sized domain is not final: 1 - 1/|D|."""
-    if domain_size < 1:
+def utility_risk(domain_size):
+    """Apriori chance that a value of a |D|-sized domain is not final: 1 - 1/|D|.
+
+    Accepts one size or an array of sizes.
+    """
+    if np.any(np.asarray(domain_size) < 1):
         raise ValueError(f"domain_size ≥ 1 required, got {domain_size}")
     return 1.0 - 1.0 / domain_size
 
 
-@dataclass(frozen=True)
-class EstimateInputs:
-    unary: Mapping[int, float]
-    privacy: Mapping[int, float]
-    domain_size: int
-    revealed: frozenset[int]
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    # A running sum in ascending value order, as a Python loop starting at 0
+    # would add: numpy's pairwise row sum rounds non-integer costs
+    # differently, and `+ 0.0` turns the -0.0 a loop never yields into 0.0.
+    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
 
 
-def estimate_cost(inputs: EstimateInputs, divisor_mode: str = "revealed") -> float:
-    """Cost estimate of a revelation state: mean unary cost of the revealed
-    values plus the sum of their revelation costs.
+def estimate_cost(unary: np.ndarray, privacy: np.ndarray, revealed: np.ndarray,
+                  domain_size, divisor_mode: str = "revealed") -> np.ndarray:
+    """Cost estimate of each revelation state: mean unary cost of the
+    revealed values plus the sum of their revelation costs.
 
+    `unary`, `privacy` and the mask `revealed` are float/bool[..., d] with
+    one row per agent; `domain_size` broadcasts against the leading shape.
     ``revealed`` mode averages over the revealed set; ``domain`` mode weights
     each revealed cost by its survival probability 1 - utility_risk(|D|).
     An empty revealed set estimates to 0.
     """
-    revealed = sorted(inputs.revealed)
-    if not revealed:
-        return 0.0
     if divisor_mode == "revealed":
-        scale = 1.0 / len(revealed)
+        scale = 1.0 / np.maximum(revealed.sum(axis=-1), 1)
     elif divisor_mode == "domain":
-        scale = 1.0 - utility_risk(inputs.domain_size)
+        scale = 1.0 - utility_risk(domain_size)
     else:
         raise ValueError(f"divisor_mode must be 'revealed' or 'domain', got {divisor_mode!r}")
-    cost = sum(inputs.unary.get(v, 0.0) for v in revealed) * scale
-    privacy = sum(inputs.privacy.get(v, 0.0) for v in revealed)
-    return cost + privacy
+    cost = _ordered_sum(np.where(revealed, unary, 0.0)) * scale
+    return cost + _ordered_sum(np.where(revealed, privacy, 0.0))
 
 
-def _estimate(ctx: AgentContext, revealed) -> float:
-    return estimate_cost(
-        EstimateInputs(ctx.unary_map, ctx.privacy_map, len(ctx.domain_values),
-                       frozenset(revealed)),
-        ctx.divisor_mode,
-    )
+def _estimate(tables: AgentTables, revealed: np.ndarray) -> np.ndarray:
+    return estimate_cost(tables.unary, tables.privacy, revealed,
+                         tables.domain_sizes, tables.divisor_mode)
+
+
+def _also_revealing(revealed: np.ndarray, values: np.ndarray) -> np.ndarray:
+    grown = revealed.copy()
+    grown[np.arange(len(values)), values - 1] = True
+    return grown
 
 
 # ---------------------------------------------------------------------------
-# Solver states and step results
+# Step results
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DsaState:
-    """State shared by the value-proposing solvers (dsa, dsau, molex)."""
-
-    value: int
-    p: float = 0.6
-    revealed: set = field(default_factory=set)
-
-
-@dataclass
-class DboState:
-    value: int
-    weights: np.ndarray                 # int64[n, d, d], all ≥ 1
-    revealed: set = field(default_factory=set)
-    my_improve: float = 0.0
-    new_value: int = 0
-    consistent: bool = False
-    can_move: bool = False
-    quasi_local_minimum: bool = False
-    termination_counter: int = 0
-
-
-def new_dbo_state(value: int, n: int, d: int) -> DboState:
-    return DboState(value=value, weights=np.ones((n, d, d), dtype=np.int64),
-                    new_value=value)
-
 
 @dataclass(frozen=True)
 class StepResult:
-    action: str                 # "keep" | "change"
-    value: int                  # current value after the step
-    candidate: int | None
-    est_current: float
-    est_next: float
+    """All agents' decisions in one round; a changing agent adopts its candidate."""
 
-
-def _keep(state_value: int, candidate: int | None, est_cur: float,
-          est_next: float) -> StepResult:
-    return StepResult("keep", state_value, candidate, est_cur, est_next)
-
-
-def _change(new_value: int, candidate: int, est_cur: float,
-            est_next: float) -> StepResult:
-    return StepResult("change", new_value, candidate, est_cur, est_next)
-
-
-def _draw_value(ctx: AgentContext, rng: np.random.Generator) -> int:
-    return ctx.domain_values[int(rng.integers(0, len(ctx.domain_values)))]
+    change: np.ndarray          # bool[n]
+    candidate: np.ndarray       # int64[n]
+    est_current: np.ndarray     # float64[n]
+    est_next: np.ndarray        # float64[n]
 
 
 # ---------------------------------------------------------------------------
 # DSA family
 # ---------------------------------------------------------------------------
 
-def dsa_step(state: DsaState, ctx: AgentContext, neighbor_vals,
-             rng: np.random.Generator) -> StepResult:
+def dsa_step(tables: AgentTables, values: np.ndarray, heard: np.ndarray, p: float,
+             rngs: Sequence[np.random.Generator]) -> StepResult:
     """Move to the best-evaluated value (ties toward the smallest id) with
-    probability p when it strictly beats the current one; the activation
-    coin is drawn only when such an improvement exists."""
-    evals = local_eval_all(ctx, neighbor_vals)
-    candidate = _best_value(ctx, evals)
-    est_cur = float(evals[state.value - 1])
-    est_next = float(evals[candidate - 1])
-    if est_next < est_cur and rng.random() < state.p:
-        return _change(candidate, candidate, est_cur, est_next)
-    return _keep(state.value, candidate, est_cur, est_next)
+    probability p when it strictly beats the current one; an agent draws
+    its activation coin only when such an improvement exists."""
+    evals = local_eval_all(tables, heard)
+    candidate = evals.argmin(axis=1) + 1
+    est_cur = _at(evals, values)
+    est_next = _at(evals, candidate)
+    change = est_next < est_cur
+    for i in np.flatnonzero(change):
+        change[i] = rngs[i].random() < p
+    return StepResult(change, candidate, est_cur, est_next)
 
 
-def dsau_step(state: DsaState, ctx: AgentContext, neighbor_vals,
-              rng: np.random.Generator, candidate: int | None = None) -> StepResult:
-    """Consider one uniformly drawn candidate; adopt it only when revealing
-    it strictly lowers the cost estimate.
+def dsau_step(tables: AgentTables, values: np.ndarray, heard: np.ndarray,
+              revealed: np.ndarray, rngs: Sequence[np.random.Generator],
+              scripted: Mapping[int, int] | None = None) -> StepResult:
+    """Each agent considers one uniformly drawn (or scripted) candidate and
+    adopts it only when revealing it strictly lowers the cost estimate.
 
     With the conflict guard (default) the candidate must additionally not
-    worsen the local evaluation against the current neighbor values; pure
-    estimate-only behavior is available via ctx.conflict_guard=False.
+    worsen the local evaluation against the current heard values; pure
+    estimate-only behavior is available via conflict_guard=False.
     """
-    if candidate is None:
-        candidate = _draw_value(ctx, rng)
-    est_cur = _estimate(ctx, state.revealed)
-    est_next = _estimate(ctx, state.revealed | {candidate})
-    if est_next < est_cur:
-        if ctx.conflict_guard:
-            evals = local_eval_all(ctx, neighbor_vals)
-            if evals[candidate - 1] > evals[state.value - 1]:
-                return _keep(state.value, candidate, est_cur, est_next)
-        return _change(candidate, candidate, est_cur, est_next)
-    return _keep(state.value, candidate, est_cur, est_next)
+    candidate = draw_values(tables, rngs, scripted)
+    est_cur = _estimate(tables, revealed)
+    est_next = _estimate(tables, _also_revealing(revealed, candidate))
+    change = est_next < est_cur
+    if tables.conflict_guard and change.any():
+        evals = local_eval_all(tables, heard)
+        change &= ~(_at(evals, candidate) > _at(evals, values))
+    return StepResult(change, candidate, est_cur, est_next)
 
 
 # ---------------------------------------------------------------------------
 # Lexicographic (privacy, cost) baseline
 # ---------------------------------------------------------------------------
 
-def mo_lex_compare(candidate_pair: tuple[float, float],
-                   current_pair: tuple[float, float]) -> bool:
-    """True iff the candidate (privacy, cost) pair is strictly better in
-    lexicographic order with privacy first."""
-    if candidate_pair[0] != current_pair[0]:
-        return candidate_pair[0] < current_pair[0]
-    return candidate_pair[1] < current_pair[1]
+def mo_lex_compare(candidate_pair, current_pair):
+    """True where the candidate (privacy, cost) pair is strictly better in
+    lexicographic order with privacy first (scalars or arrays)."""
+    return np.where(candidate_pair[0] != current_pair[0],
+                    candidate_pair[0] < current_pair[0],
+                    candidate_pair[1] < current_pair[1])
 
 
-def _lex_pair(ctx: AgentContext, value: int) -> tuple[float, float]:
-    return (ctx.privacy_map.get(value, 0.0), ctx.unary_map.get(value, 0.0))
-
-
-def modcop_dsa_step(state: DsaState, ctx: AgentContext,
-                    rng: np.random.Generator, candidate: int | None = None) -> StepResult:
+def modcop_dsa_step(tables: AgentTables, values: np.ndarray,
+                    rngs: Sequence[np.random.Generator],
+                    scripted: Mapping[int, int] | None = None) -> StepResult:
     """Adopt a uniformly drawn candidate iff its pair wins lexicographically."""
-    if candidate is None:
-        candidate = _draw_value(ctx, rng)
-    cur = _lex_pair(ctx, state.value)
-    cand = _lex_pair(ctx, candidate)
-    est_cur = cur[0] + cur[1]
-    est_next = cand[0] + cand[1]
-    if mo_lex_compare(cand, cur):
-        return _change(candidate, candidate, est_cur, est_next)
-    return _keep(state.value, candidate, est_cur, est_next)
+    candidate = draw_values(tables, rngs, scripted)
+    cur = (_at(tables.privacy, values), _at(tables.unary, values))
+    cand = (_at(tables.privacy, candidate), _at(tables.unary, candidate))
+    return StepResult(mo_lex_compare(cand, cur), candidate,
+                      cur[0] + cur[1], cand[0] + cand[1])
 
 
 # ---------------------------------------------------------------------------
 # Breakout family
 # ---------------------------------------------------------------------------
 
-def dbo_send_improve(state: DboState, ctx: AgentContext, neighbor_ids,
-                     neighbor_vals, gate_estimates: bool = False
-                     ) -> tuple[ImproveMsg, StepResult]:
-    """Compute the best possible improvement and the improve message.
+@dataclass
+class BreakoutState:
+    """Offer-exchange state of all agents of a dbo / dbou run."""
 
-    Updates the offer fields on `state` (my_improve, new_value, consistent,
-    can_move, quasi_local_minimum, termination_counter). With
-    `gate_estimates` (dbou) the offer is withdrawn unless revealing the
-    best value strictly lowers the cost estimate.
+    offers: np.ndarray          # float64[n]: improvement offered, 0 for none
+    new_values: np.ndarray      # int64[n]: value taken if the offer wins
+    consistent: np.ndarray      # bool[n]: evaluation of the current value is 0
+    termination: np.ndarray     # int64[n]: consecutive consistent offers
+    weights: ExcessWeights = field(default_factory=ExcessWeights)
+
+
+def new_breakout_state(values: np.ndarray) -> BreakoutState:
+    n = len(values)
+    return BreakoutState(offers=np.zeros(n), new_values=values.copy(),
+                         consistent=np.zeros(n, dtype=bool),
+                         termination=np.zeros(n, dtype=np.int64))
+
+
+def dbo_send_improve(state: BreakoutState, tables: AgentTables, values: np.ndarray,
+                     heard: np.ndarray, revealed: np.ndarray,
+                     gate_estimates: bool = False) -> StepResult:
+    """Compute every agent's best possible improvement and its offer.
+
+    Updates the offers, target values, consistency flags and termination
+    counters on `state`. With `gate_estimates` (dbou) an offer is withdrawn
+    unless revealing the best value strictly lowers the cost estimate.
     """
-    evals = local_eval_all(ctx, neighbor_vals, weights=state.weights,
-                           neighbor_ids=neighbor_ids)
-    current_eval = float(evals[state.value - 1])
-    possible = _best_value(ctx, evals)
-    improvement = current_eval - float(evals[possible - 1])
-
-    state.my_improve = 0.0
-    state.new_value = state.value
-    gate_open = True
+    evals = local_eval_all(tables, heard, state.weights)
+    possible = evals.argmin(axis=1) + 1
+    current = _at(evals, values)
+    best = _at(evals, possible)
+    improvement = current - best
+    offer = improvement > 0
     if gate_estimates:
-        gate_open = _estimate(ctx, state.revealed | {possible}) < _estimate(ctx, state.revealed)
-    if gate_open and improvement > 0:
-        state.my_improve = improvement
-        state.new_value = possible
-
-    state.consistent = current_eval == 0.0
-    if state.consistent:
-        state.termination_counter += 1
-    else:
-        state.termination_counter = 0
-    state.can_move = state.my_improve > 0
-    state.quasi_local_minimum = not state.can_move
-
-    msg = ImproveMsg(ctx.index, state.my_improve, current_eval,
-                     state.termination_counter)
-    return msg, _keep(state.value, possible, current_eval, float(evals[possible - 1]))
+        offer &= (_estimate(tables, _also_revealing(revealed, possible))
+                  < _estimate(tables, revealed))
+    state.offers = np.where(offer, improvement, 0.0)
+    state.new_values = np.where(offer, possible, values)
+    state.consistent = current == 0.0
+    state.termination = np.where(state.consistent, state.termination + 1, 0)
+    return StepResult(np.zeros(len(values), dtype=bool), possible, current, best)
 
 
-def dbo_resolve(state: DboState, ctx: AgentContext,
-                improve_msgs: Mapping[int, ImproveMsg], neighbor_ids,
-                neighbor_vals) -> tuple[StepResult, list[tuple[int, int, int]]]:
-    """Decide the move and the weight increments from the improve exchange.
+def dbo_resolve(state: BreakoutState, tables: AgentTables, values: np.ndarray,
+                heard: np.ndarray) -> tuple[StepResult, np.ndarray]:
+    """Decide the move and the weight increments from the offer exchange.
 
-    The agent moves iff its improvement is strictly greatest in the
-    neighborhood, ties broken toward the smallest agent id. When nobody in
-    the neighborhood can improve and the agent is inconsistent, every pair
-    currently violated with a neighbor gets its weight raised by 1.
+    Every agent sees every offer, so the single mover is the first agent
+    with the greatest offer (ties to the smallest id), if that offer is
+    positive. When no offer is positive, every inconsistent agent raises by
+    1 the weight of each pair it currently violates with another agent.
 
-    Returns the step result and the increments as (neighbor, own_code,
-    neighbor_code) triples; apply them with :func:`apply_weight_increments`.
+    Returns the step result and the raised entries as weight keys; apply
+    them with :func:`apply_weight_increments`.
     """
-    best_improve = state.my_improve
-    best_agent = ctx.index
-    for j in neighbor_ids:
-        msg = improve_msgs.get(int(j))
-        improve = msg.improve if msg is not None else 0.0
-        if improve > best_improve or (improve == best_improve and int(j) < best_agent):
-            best_improve = improve
-            best_agent = int(j)
-
-    increments: list[tuple[int, int, int]] = []
-    est = state.my_improve
-    if state.can_move and best_agent == ctx.index:
-        return _change(state.new_value, state.new_value, est, est), increments
-
-    if best_improve <= 0 and not state.consistent:
-        cur_code = state.value - 1
-        for j, vj in zip(neighbor_ids, neighbor_vals):
-            if vj >= 0 and vj != cur_code:
-                increments.append((int(j), cur_code, int(vj)))
-    return _keep(state.value, state.new_value, est, est), increments
+    n, d = tables.eval_unary.shape
+    mover = int(np.argmax(state.offers))
+    change = np.zeros(n, dtype=bool)
+    increments = np.empty(0, dtype=np.int64)
+    if state.offers[mover] > 0:
+        change[mover] = True
+    else:
+        own = values - 1
+        violated = (~state.consistent)[:, None] & (heard >= 0) & (heard != own[:, None])
+        np.fill_diagonal(violated, False)
+        agent, neighbor = np.nonzero(violated)
+        increments = kernels.weight_keys(n, d, agent, neighbor, heard[neighbor], own[agent])
+    return StepResult(change, state.new_values, state.offers, state.offers), increments
 
 
-def apply_weight_increments(state: DboState,
-                            increments: list[tuple[int, int, int]]) -> None:
-    for j, own_code, nb_code in increments:
-        state.weights[j, own_code, nb_code] += 1
+def apply_weight_increments(weights: ExcessWeights, increments: np.ndarray) -> None:
+    """Raise the weight of each entry in `increments` (distinct keys) by 1."""
+    if increments.size == 0:
+        return
+    keys, inverse = np.unique(np.concatenate((weights.keys, increments)),
+                              return_inverse=True)
+    counts = np.concatenate((weights.counts, np.ones(increments.size, dtype=np.int64)))
+    weights.keys = keys
+    weights.counts = np.bincount(inverse, weights=counts).astype(np.int64)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from reference_engine import dense_weights
 from udcop import solvers
 from udcop.engine import SolverParams, format_trace, run
 from udcop.experiments import SweepConfig, aggregate, rows_to_csv, run_sweep
@@ -72,10 +73,9 @@ def test_c2_estimate_values():
     ]
     for agent, revealed, expected in cases:
         ctx = solvers.build_agent_context(inst, agent)
-        got = solvers.estimate_cost(
-            solvers.EstimateInputs(ctx.unary_map, ctx.privacy_map,
-                                   len(ctx.domain_values), frozenset(revealed)),
-            divisor_mode="revealed")
+        mask = np.isin(np.arange(1, ctx.d + 1), sorted(revealed))
+        got = solvers.estimate_cost(ctx.unary, ctx.privacy, mask,
+                                    len(ctx.domain_values), divisor_mode="revealed")
         assert got == pytest.approx(expected, abs=1e-9), (agent, revealed)
 
 
@@ -139,43 +139,47 @@ def test_c6_breakout_properties(monkeypatch):
     captured = []
     real = solvers.dbo_send_improve
 
-    def spy(state, ctx, neighbor_ids, neighbor_vals, gate_estimates=False):
-        snapshot = (ctx, np.array(neighbor_ids), np.array(neighbor_vals),
-                    state.weights.copy())
-        msg, res = real(state, ctx, neighbor_ids, neighbor_vals, gate_estimates)
-        captured.append((snapshot, res.candidate))
-        return msg, res
+    def spy(state, tables, values, heard, revealed, gate_estimates=False):
+        n, d = tables.eval_unary.shape
+        snapshot = (tables, heard.copy(), dense_weights(state.weights, n, d))
+        res = real(state, tables, values, heard, revealed, gate_estimates)
+        captured.append((snapshot, res.candidate.copy()))
+        return res
 
     monkeypatch.setattr(solvers, "dbo_send_improve", spy)
 
-    weight_histories = {}
     for k in range(20):
         inst = generate(GenConfig(n=5, d=4, density=0.5, seed=7_000 + k))
         for algo in ("dbo", "dbou"):
             captured.clear()
             _, traces = run(inst, algo, SolverParams(), seed=k, round_budget=40)
+            assert captured
 
             # at most one mover per round on a complete graph
             for t in traces:
                 assert sum(a == "change" for a in t.actions) <= 1
 
-            # offered candidate equals the exhaustive-scan argmax improvement
-            for (ctx, ids, vals, weights), candidate in captured:
-                evals = []
-                for code in range(ctx.d):
-                    total = ctx.eval_unary[code]
-                    for j, vj in zip(ids, vals):
-                        if vj >= 0 and vj != code:
-                            total += ctx.w_unit * weights[j, code, vj]
-                    evals.append(total)
-                best = min(range(ctx.d), key=lambda c: (evals[c], c)) + 1
-                assert candidate == best
+            # offered candidate equals the exhaustive-scan argmin, on the
+            # weights rebuilt densely: weights[i, j, v, w] is agent i's
+            # weight for the pair (self=v, neighbor j=w)
+            previous = None
+            for (tables, heard, weights), candidates in captured:
+                for i in range(inst.n):
+                    evals = []
+                    for code in range(inst.d):
+                        total = tables.eval_unary[i, code]
+                        for j, vj in enumerate(heard):
+                            if j != i and vj >= 0 and vj != code:
+                                total += tables.w_unit * weights[i, j, code, vj]
+                        evals.append(total)
+                    best = min(range(inst.d), key=lambda c: (evals[c], c)) + 1
+                    assert candidates[i] == best
 
-                key = (k, algo, ctx.index)
-                if key in weight_histories:
-                    assert (weights >= weight_histories[key]).all()
-                    assert (weight_histories[key] >= 1).all()
-                weight_histories[key] = weights
+                # weights start at 1 and never decrease
+                assert (weights >= 1).all()
+                if previous is not None:
+                    assert (weights >= previous).all()
+                previous = weights
 
 
 @criterion("7 oracle equivalence")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from udcop.cli import main
 from udcop.model import load_instance
@@ -97,3 +101,15 @@ def test_sweep_command(tmp_path, capsys):
     assert (out_dir / "sweep.csv").exists()
     assert (out_dir / "summary.txt").exists()
     assert "Average solution quality" in capsys.readouterr().out
+
+
+def test_import_does_not_load_scipy_stats():
+    # only the sweep's confidence intervals need scipy.stats
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, udcop.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,9 +1,16 @@
-import pytest
+import math
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_engine import run_reference
 from udcop.engine import RevealLedger, SolverParams, format_trace, metrics, run
 from udcop.generator import GenConfig, generate
-from udcop.model import GlobalConstraint, Instance, InstanceValidationError
+from udcop.model import KINDS, GlobalConstraint, Instance, InstanceValidationError
 from udcop.presets import scripted_meeting_params, three_student_meeting
+from udcop.solvers import SOLVER_KINDS
 
 MEETING = three_student_meeting()
 
@@ -89,6 +96,12 @@ class TestRunBasics:
         outcome, _ = run(inst, "dsa", SolverParams(p=1.0), seed=3,
                          round_budget=500)
         assert outcome.rounds < 500
+
+    @pytest.mark.parametrize("initial", [(1, 1), (1, 1, 1, 1)])
+    def test_initial_values_of_wrong_length_rejected(self, initial):
+        with pytest.raises(ValueError, match="expected 3 values"):
+            run(MEETING, "dsa", SolverParams(initial_values=initial), seed=0,
+                round_budget=5)
 
     def test_single_agent_run(self):
         inst = Instance(kind="udcop", n=1, d=2, domains=((1, 2),),
@@ -216,3 +229,63 @@ class TestDsauEstimateInvariant:
         for prev, cur in zip(traces, traces[1:]):
             assert sum(cur.est_current) <= sum(prev.est_current) + 1e-9
 
+
+
+class TestBreakoutMemory:
+    @pytest.mark.parametrize("solver", ["dbo", "dbou"])
+    def test_peak_memory_stays_far_below_dense_weights(self, solver):
+        # dense per-agent weights would take n*n*d*d*8 bytes = 46 MB here
+        inst = generate(GenConfig(n=60, d=40, density=0.3, seed=5))
+        tracemalloc.start()
+        try:
+            run(inst, solver, SolverParams(p=0.95, penalty=8.5), seed=1, round_budget=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+COSTS = st.one_of(st.integers(0, 9).map(float),
+                  st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def edge_instances(draw):
+    """Small instances of every kind: restricted domains, non-integer costs,
+    finite and infinite penalties."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(KINDS))
+    values = st.integers(1, d)
+    domains = tuple(tuple(sorted(draw(st.sets(values, min_size=1)))) for _ in range(n))
+    unary = tuple(draw(st.dictionaries(st.sampled_from(dom), COSTS)) for dom in domains)
+    if kind == "dcop":
+        privacy = ()
+    else:
+        key = (lambda v: f"c{v}") if kind == "udcoppc" else (lambda v: v)
+        privacy = tuple({key(v): draw(COSTS) for v in dom} for dom in domains)
+    penalty = draw(st.sampled_from([math.inf, 0.5, 8.5, 100.0]))
+    return Instance(kind=kind, n=n, d=d, domains=domains, unary=unary, privacy=privacy,
+                    global_constraint=GlobalConstraint(penalty=penalty))
+
+
+class TestMatchesPerAgentReference:
+    @settings(max_examples=80, deadline=None)
+    @given(inst=edge_instances(),
+           p=st.sampled_from([0.0, 0.6, 1.0]),
+           divisor_mode=st.sampled_from(["revealed", "domain"]),
+           penalty=st.sampled_from([None, 2.0, 8.5]),
+           pure_alg2=st.booleans(),
+           budget=st.sampled_from([1, 2, 15]),
+           seed=st.integers(0, 2**16))
+    def test_outcome_and_trace_identical(self, inst, p, divisor_mode, penalty,
+                                         pure_alg2, budget, seed):
+        params = SolverParams(p=p, divisor_mode=divisor_mode, penalty=penalty,
+                              pure_alg2=pure_alg2)
+        for solver in SOLVER_KINDS:
+            outcome, traces = run(inst, solver, params, seed=seed, round_budget=budget)
+            ref_outcome, ref_traces = run_reference(inst, solver, params, seed=seed,
+                                                    round_budget=budget)
+            assert outcome == ref_outcome, solver
+            assert format_trace(traces) == format_trace(ref_traces), solver
+            assert traces == ref_traces, solver

@@ -4,56 +4,83 @@ import pytest
 from udcop import kernels
 
 
-def naive_eval(unary, neighbor_vals, w_unit, weights=None, neighbor_ids=None):
-    """Straightforward reference: one value at a time, one neighbor at a time."""
-    d = len(unary)
-    out = []
-    for v in range(d):
-        total = unary[v]
-        for k, nv in enumerate(neighbor_vals):
-            if nv != v:
-                w = 1 if weights is None else weights[neighbor_ids[k], v, nv]
-                total += w_unit * w
-        out.append(total)
-    return np.array(out)
+def naive_eval(unary, heard, w_unit, weights=None):
+    """Straightforward reference: one agent, value and neighbor at a time.
+
+    weights, when given, is dense int64[n, n, d, d] with weights[i, j, v, w]
+    agent i's weight for the pair (self=v, neighbor j=w).
+    """
+    n, d = unary.shape
+    out = np.empty((n, d))
+    for i in range(n):
+        for v in range(d):
+            conflict = 0
+            for j in range(n):
+                w = heard[j]
+                if j != i and w >= 0 and w != v:
+                    conflict += 1 if weights is None else weights[i, j, v, w]
+            out[i, v] = unary[i, v] + w_unit * conflict
+    return out
 
 
 def random_state(rng, n=8, d=6):
-    unary = rng.integers(0, 10, size=d).astype(np.float64)
-    ids = np.arange(1, n, dtype=np.int64)
-    vals = rng.integers(0, d, size=n - 1).astype(np.int64)
-    weights = rng.integers(1, 5, size=(n, d, d)).astype(np.int64)
-    return unary, ids, vals, weights
+    unary = rng.integers(0, 10, size=(n, d)).astype(np.float64)
+    heard = rng.integers(-1, d, size=n).astype(np.int64)
+    weights = rng.integers(1, 5, size=(n, n, d, d)).astype(np.int64)
+    return unary, heard, weights
+
+
+def sparse_excess(weights):
+    """The (keys, counts) form of the weights' excess over 1."""
+    n, _, d, _ = weights.shape
+    i, j, v, w = np.nonzero(weights - 1)
+    keys = kernels.weight_keys(n, d, i, j, w, v)
+    order = np.argsort(keys)
+    return keys[order], (weights[i, j, v, w] - 1)[order]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_unit_kernel_matches_naive(seed):
     rng = np.random.default_rng(seed)
-    unary, _, vals, _ = random_state(rng)
-    got = kernels.eval_all_unit(unary, vals, 7.5)
-    assert got == pytest.approx(naive_eval(unary, vals, 7.5))
+    unary, heard, _ = random_state(rng)
+    got = kernels.eval_all_unit(unary, heard, 7.5)
+    assert got == pytest.approx(naive_eval(unary, heard, 7.5))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_weighted_kernel_matches_naive(seed):
     rng = np.random.default_rng(seed)
-    unary, ids, vals, weights = random_state(rng)
-    got = kernels.eval_all_weighted(unary, ids, vals, weights, 3.25)
-    assert got == pytest.approx(
-        naive_eval(unary, vals, 3.25, weights=weights, neighbor_ids=ids))
+    unary, heard, weights = random_state(rng)
+    n, d = unary.shape
+    same = np.eye(n, dtype=bool)[:, :, None, None] | np.eye(d, dtype=bool)
+    weights[same] = 1     # raised entries never pair an agent with itself or equal codes
+    keys, counts = sparse_excess(weights)
+    got = kernels.eval_all_weighted(unary, heard, 3.25, keys, counts)
+    assert got == pytest.approx(naive_eval(unary, heard, 3.25, weights=weights))
+
+
+def test_weight_keys_are_the_documented_flat_layout():
+    n, d = 3, 4
+    key = kernels.weight_keys(n, d, np.array([2]), np.array([1]), np.array([3]),
+                              np.array([0]))
+    assert key.tolist() == [((2 * n + 1) * d + 3) * d + 0]
 
 
 def test_infinite_unary_slots_propagate():
-    unary = np.array([1.0, np.inf, 0.0])
-    vals = np.array([2, 2], dtype=np.int64)
-    out = kernels.eval_all_unit(unary, vals, 10.0)
-    assert np.isinf(out[1]) and out[2] == 0.0
+    unary = np.array([[1.0, np.inf, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    heard = np.array([0, 2, 2], dtype=np.int64)
+    out = kernels.eval_all_unit(unary, heard, 10.0)
+    assert np.isinf(out[0, 1]) and out[0, 2] == 0.0
 
 
 def test_empty_neighborhood():
-    unary = np.array([3.0, 4.0])
-    out = kernels.eval_all_unit(unary, np.empty(0, dtype=np.int64), 10.0)
-    assert list(out) == [3.0, 4.0]
+    unary = np.array([[3.0, 4.0]])
+    out = kernels.eval_all_unit(unary, np.array([1], dtype=np.int64), 10.0)
+    assert out.tolist() == [[3.0, 4.0]]
+    out = kernels.eval_all_weighted(unary, np.array([1], dtype=np.int64), 10.0,
+                                    np.empty(0, dtype=np.int64),
+                                    np.empty(0, dtype=np.int64))
+    assert out.tolist() == [[3.0, 4.0]]
 
 
 def test_backend_name_is_python():

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_engine import dense_weights
+from udcop import kernels
 from udcop.model import GlobalConstraint, Instance
 from udcop.presets import three_student_meeting
-from udcop.solvers import (DsaState, EstimateInputs, build_agent_context,
+from udcop.solvers import (ExcessWeights, apply_weight_increments, build_agent_context,
                            dbo_resolve, dbo_send_improve, dsa_step, dsau_step,
                            estimate_cost, local_eval_all, mo_lex_compare,
-                           modcop_dsa_step, new_dbo_state, utility_risk,
-                           apply_weight_increments, ImproveMsg)
+                           modcop_dsa_step, new_breakout_state, stack_contexts,
+                           utility_risk)
 
 MEETING = three_student_meeting()
 
@@ -18,9 +20,34 @@ def ctx_for(agent, **kw):
     return build_agent_context(MEETING, agent, **kw)
 
 
-def est_inputs(agent, revealed):
+def tables_for(inst=MEETING, **kw):
+    return stack_contexts([build_agent_context(inst, i, **kw) for i in range(inst.n)])
+
+
+def mask(d, *value_sets):
+    """bool[len(value_sets), d]: row i marks the values of value_sets[i]."""
+    out = np.zeros((len(value_sets), d), dtype=bool)
+    for i, values in enumerate(value_sets):
+        out[i, [v - 1 for v in values]] = True
+    return out
+
+
+def estimate(agent, revealed, divisor_mode="revealed"):
     ctx = ctx_for(agent)
-    return EstimateInputs(ctx.unary_map, ctx.privacy_map, 3, frozenset(revealed))
+    return float(estimate_cost(ctx.unary, ctx.privacy, mask(3, revealed)[0], 3,
+                               divisor_mode))
+
+
+def arr(*values):
+    return np.array(values, dtype=np.int64)
+
+
+def rngs(n, seed=0):
+    return [np.random.default_rng([seed, i]) for i in range(n)]
+
+
+def adopted(res, values):
+    return np.where(res.change, res.candidate, values)
 
 
 class TestUtilityRisk:
@@ -40,109 +67,125 @@ class TestUtilityRisk:
 
 class TestEstimateCost:
     def test_single_revealed_value(self):
-        assert estimate_cost(est_inputs(0, {1})) == pytest.approx(150.0, abs=1e-9)
+        assert estimate(0, {1}) == pytest.approx(150.0, abs=1e-9)
 
     def test_two_revealed_values(self):
-        assert estimate_cost(est_inputs(0, {1, 2})) == pytest.approx(250.0, abs=1e-9)
+        assert estimate(0, {1, 2}) == pytest.approx(250.0, abs=1e-9)
 
     def test_empty_revealed_set(self):
-        assert estimate_cost(est_inputs(0, set())) == 0.0
+        assert estimate(0, set()) == 0.0
 
     def test_third_agent_pair(self):
-        assert estimate_cost(est_inputs(2, {3, 1})) == pytest.approx(225.0, abs=1e-9)
+        assert estimate(2, {3, 1}) == pytest.approx(225.0, abs=1e-9)
 
     def test_domain_divisor_mode(self):
         # weight = 1 - utility_risk(3) = 1/3 regardless of the revealed count
-        got = estimate_cost(est_inputs(0, {1}), divisor_mode="domain")
+        got = estimate(0, {1}, divisor_mode="domain")
         assert got == pytest.approx(70 / 3 + 80, abs=1e-9)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            estimate_cost(est_inputs(0, {1}), divisor_mode="mean")
+            estimate(0, {1}, divisor_mode="mean")
 
     @given(st.sets(st.integers(1, 3), max_size=3), st.integers(1, 3))
     def test_privacy_term_never_decreases_when_revealing(self, revealed, extra):
-        base = estimate_cost(est_inputs(0, revealed))
-        grown = est_inputs(0, revealed | {extra})
-        privacy_base = sum(est_inputs(0, revealed).privacy.get(v, 0.0) for v in revealed)
-        privacy_grown = sum(grown.privacy.get(v, 0.0) for v in grown.revealed)
+        base = estimate(0, revealed)
+        privacy = ctx_for(0).privacy
+        privacy_base = sum(privacy[v - 1] for v in revealed)
+        privacy_grown = sum(privacy[v - 1] for v in revealed | {extra})
         assert privacy_grown >= privacy_base
         assert base >= 0.0
+
+    @given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.booleans()),
+                    min_size=1, max_size=20),
+           st.sampled_from(["revealed", "domain"]))
+    def test_equals_a_loop_in_ascending_value_order(self, entries, divisor_mode):
+        unary, privacy, revealed = (np.array(column) for column in zip(*entries))
+        d = len(entries)
+        got = estimate_cost(unary, privacy, revealed, d, divisor_mode)
+        chosen = [v for v in range(d) if revealed[v]]
+        expected = 0.0
+        if chosen:
+            scale = (1.0 / len(chosen) if divisor_mode == "revealed"
+                     else 1.0 - utility_risk(d))
+            expected = (sum(unary[v] for v in chosen) * scale
+                        + sum(privacy[v] for v in chosen))
+        assert float(got) == expected     # bit for bit, not approximately
+
+    def test_rows_are_estimated_independently(self):
+        tables = tables_for()
+        revealed = mask(3, {1}, {1, 3}, {3, 1})
+        got = estimate_cost(tables.unary, tables.privacy, revealed, tables.domain_sizes)
+        assert got == pytest.approx([150.0, 265.0, 225.0], abs=1e-9)
 
 
 class TestLocalEval:
     def test_one_conflict_with_unit_weight(self):
-        ctx = ctx_for(0, penalty=2000.0)   # two neighbors -> w_unit = 1000
-        assert ctx.w_unit == pytest.approx(1000.0)
-        got = local_eval_all(ctx, np.array([0, 2]))[0]   # codes: x2=1, x3=3
+        tables = tables_for(penalty=2000.0)   # two neighbors -> w_unit = 1000
+        assert tables.w_unit == pytest.approx(1000.0)
+        got = local_eval_all(tables, arr(0, 0, 2))[0, 0]   # codes: x2=1, x3=3
         assert got == pytest.approx(70.0 + 1000.0)
 
     def test_no_conflicts_is_unary_only(self):
-        ctx = ctx_for(1)
-        got = local_eval_all(ctx, np.array([0, 0]))[0]
+        got = local_eval_all(tables_for(), arr(0, 0, 0))[1, 0]
         assert got == pytest.approx(120.0)
 
     def test_eval_linear_in_weights(self):
-        ctx = ctx_for(0, penalty=2000.0)
-        weights = np.ones((3, 3, 3), dtype=np.int64)
-        ids = np.array([1, 2], dtype=np.int64)
-        vals = np.array([0, 2], dtype=np.int64)
-        base = local_eval_all(ctx, vals, weights=weights, neighbor_ids=ids)[0]
-        weights[2, 0, 2] = 2
-        bumped = local_eval_all(ctx, vals, weights=weights, neighbor_ids=ids)[0]
-        assert bumped - base == pytest.approx(ctx.w_unit)
+        tables = tables_for(penalty=2000.0)
+        heard = arr(0, 0, 2)
+        base = local_eval_all(tables, heard, ExcessWeights())[0, 0]
+        # agent 0's weight for (self=1, agent 2 on 3) raised from 1 to 2
+        weights = ExcessWeights(kernels.weight_keys(3, 3, arr(0), arr(2), arr(2), arr(0)),
+                                arr(1))
+        bumped = local_eval_all(tables, heard, weights)[0, 0]
+        assert bumped - base == pytest.approx(tables.w_unit)
 
     def test_unknown_neighbors_do_not_conflict(self):
-        ctx = ctx_for(0)
-        got = local_eval_all(ctx, np.array([-1, -1]))[0]
+        got = local_eval_all(tables_for(), arr(-1, -1, -1))[0, 0]
         assert got == pytest.approx(70.0)
 
 
 class TestDsaStep:
     def test_forced_change_when_p_is_one(self):
-        state = DsaState(value=3, p=1.0)
-        res = dsa_step(state, ctx_for(0), np.array([0, 0]), np.random.default_rng(0))
-        assert res.action == "change" and res.value == 1
+        values = arr(3, 1, 1)
+        res = dsa_step(tables_for(), values, arr(2, 0, 0), 1.0, rngs(3))
+        assert res.change[0] and adopted(res, values)[0] == 1
 
     def test_keep_when_current_is_best(self):
-        state = DsaState(value=1, p=1.0)
-        res = dsa_step(state, ctx_for(0), np.array([0, 0]), np.random.default_rng(0))
-        assert res.action == "keep" and res.value == 1
+        values = arr(1, 1, 1)
+        res = dsa_step(tables_for(), values, arr(0, 0, 0), 1.0, rngs(3))
+        assert not res.change[0] and adopted(res, values)[0] == 1
 
     def test_activation_frequency_tracks_p(self):
-        # improvement always exists here; accept within 0.6 +/- 0.02
-        state = DsaState(value=3, p=0.6)
-        ctx = ctx_for(0)
-        view = np.array([0, 0])
-        rng = np.random.default_rng(1234)
-        changes = sum(dsa_step(state, ctx, view, rng).action == "change"
+        # agent 0 can always improve; accept within 0.6 +/- 0.02
+        tables, values, heard = tables_for(), arr(3, 1, 1), arr(2, 0, 0)
+        streams = rngs(3, seed=1234)
+        changes = sum(bool(dsa_step(tables, values, heard, 0.6, streams).change[0])
                       for _ in range(10_000))
         assert changes / 10_000 == pytest.approx(0.6, abs=0.02)
 
 
 class TestDsauStep:
     def test_moves_when_estimate_drops(self):
-        state = DsaState(value=3, revealed={3})
-        res = dsau_step(state, ctx_for(2), np.array([0, 0]),
-                        np.random.default_rng(0), candidate=1)
-        assert res.action == "change" and res.value == 1
-        assert res.est_current == pytest.approx(240.0)
-        assert res.est_next == pytest.approx(225.0)
+        values = arr(1, 1, 3)
+        res = dsau_step(tables_for(), values, arr(0, 0, 2), mask(3, {1}, {1}, {3}),
+                        rngs(3), scripted={0: 1, 1: 1, 2: 1})
+        assert res.change[2] and adopted(res, values)[2] == 1
+        assert res.est_current[2] == pytest.approx(240.0)
+        assert res.est_next[2] == pytest.approx(225.0)
 
     def test_keeps_when_estimate_rises(self):
-        state = DsaState(value=1, revealed={1})
-        res = dsau_step(state, ctx_for(0), np.array([0, 2]),
-                        np.random.default_rng(0), candidate=2)
-        assert res.action == "keep"
-        assert res.est_next == pytest.approx(250.0)
+        res = dsau_step(tables_for(), arr(1, 1, 3), arr(0, 0, 2), mask(3, {1}, {1}, {3}),
+                        rngs(3), scripted={0: 2, 1: 1, 2: 3})
+        assert not res.change[0]
+        assert res.est_next[0] == pytest.approx(250.0)
 
     def test_already_revealed_candidate_keeps(self):
         # the revealed set cannot grow, so the estimate cannot drop
-        state = DsaState(value=1, revealed={1, 2})
-        res = dsau_step(state, ctx_for(0), np.array([0, 0]),
-                        np.random.default_rng(0), candidate=2)
-        assert res.action == "keep"
-        assert res.est_current == res.est_next
+        res = dsau_step(tables_for(), arr(1, 1, 1), arr(0, 0, 0),
+                        mask(3, {1, 2}, {1}, {1}), rngs(3), scripted={0: 2, 1: 1, 2: 1})
+        assert not res.change[0]
+        assert res.est_current[0] == res.est_next[0]
 
     def test_conflict_guard_vetoes_worse_eval(self):
         # estimate drops (cheap value, free reveal) but the candidate breaks
@@ -152,14 +195,15 @@ class TestDsauStep:
             unary=({1: 9.0, 2: 0.0}, {}, {}),
             privacy=({1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}),
             global_constraint=GlobalConstraint(penalty=1000.0))
-        guarded = build_agent_context(inst, 0)
-        state = DsaState(value=1, revealed={1})
-        view = np.array([0, 0])   # both neighbors on value 1
-        res = dsau_step(state, guarded, view, np.random.default_rng(0), candidate=2)
-        assert res.action == "keep"
-        pure = build_agent_context(inst, 0, conflict_guard=False)
-        res = dsau_step(state, pure, view, np.random.default_rng(0), candidate=2)
-        assert res.action == "change"
+        values, heard = arr(1, 1, 1), arr(0, 0, 0)   # everyone on value 1
+        revealed = mask(2, {1}, {1}, {1})
+        script = {0: 2, 1: 1, 2: 1}
+        guarded = tables_for(inst)
+        res = dsau_step(guarded, values, heard, revealed, rngs(3), script)
+        assert not res.change[0]
+        pure = tables_for(inst, conflict_guard=False)
+        res = dsau_step(pure, values, heard, revealed, rngs(3), script)
+        assert res.change[0]
 
 
 class TestLexCompare:
@@ -185,87 +229,92 @@ class TestLexCompare:
 
 class TestModcopStep:
     def test_second_agent_moves(self):
-        state = DsaState(value=1, revealed={1})
-        res = modcop_dsa_step(state, ctx_for(1), np.random.default_rng(0), candidate=3)
-        assert res.action == "change" and res.value == 3
+        values = arr(1, 1, 3)
+        res = modcop_dsa_step(tables_for(), values, rngs(3), {0: 1, 1: 3, 2: 3})
+        assert res.change[1] and adopted(res, values)[1] == 3
 
     def test_third_agent_stays(self):
-        state = DsaState(value=3, revealed={3})
-        res = modcop_dsa_step(state, ctx_for(2), np.random.default_rng(0), candidate=1)
-        assert res.action == "keep"
+        res = modcop_dsa_step(tables_for(), arr(1, 1, 3), rngs(3), {0: 1, 1: 1, 2: 1})
+        assert not res.change[2]
 
 
-def two_agent_conflict():
-    """n=2, d=2: agent 0 on value 1 conflicts with agent 1 on value 2."""
-    inst = Instance(
-        kind="udcop", n=2, d=2, domains=((1, 2), (1, 2)),
-        unary=({}, {}),
-        privacy=({1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}),
+def agents_on_two_values(n=2):
+    """n agents, d=2, no unary costs, unit reveal costs, penalty 100."""
+    return Instance(
+        kind="udcop", n=n, d=2, domains=((1, 2),) * n,
+        unary=({},) * n,
+        privacy=({1: 1.0, 2: 1.0},) * n,
         global_constraint=GlobalConstraint(penalty=100.0))
-    return inst
+
+
+def offer_round(values, heard, revealed=None, gate_estimates=False):
+    """Agent 0 on value values[0], the others heard on `heard`."""
+    tables = tables_for(agents_on_two_values())
+    state = new_breakout_state(values)
+    if revealed is None:
+        revealed = mask(2, *({v} for v in values.tolist()))
+    res = dbo_send_improve(state, tables, values, heard, revealed, gate_estimates)
+    return tables, state, res
 
 
 class TestBreakout:
     def test_consistent_when_eval_zero(self):
-        inst = two_agent_conflict()
-        ctx = build_agent_context(inst, 0)
-        state = new_dbo_state(1, 2, 2)
-        msg, _ = dbo_send_improve(state, ctx, np.array([1]), np.array([0]))
-        assert state.consistent and msg.eval == 0.0 and msg.improve == 0.0
+        _, state, res = offer_round(arr(1, 1), arr(0, 0))
+        assert state.consistent[0] and res.est_current[0] == 0.0
+        assert state.offers[0] == 0.0
 
     def test_improvement_equals_removed_pair_penalty(self):
-        inst = two_agent_conflict()
-        ctx = build_agent_context(inst, 0)
-        state = new_dbo_state(1, 2, 2)
-        msg, res = dbo_send_improve(state, ctx, np.array([1]), np.array([1]))
-        assert msg.improve == pytest.approx(ctx.w_unit)
-        assert state.new_value == 2 and state.can_move
-        assert res.candidate == 2
+        tables, state, res = offer_round(arr(1, 2), arr(0, 1))
+        assert state.offers[0] == pytest.approx(tables.w_unit)
+        assert state.new_values[0] == 2 and state.offers[0] > 0
+        assert res.candidate[0] == 2
 
     def test_estimate_gate_blocks_offer(self):
-        inst = two_agent_conflict()
-        ctx = build_agent_context(inst, 0)
-        state = new_dbo_state(1, 2, 2)
-        state.revealed = {1}
         # revealing value 2 adds privacy 1 with no unary gain: gate shut
-        msg, _ = dbo_send_improve(state, ctx, np.array([1]), np.array([1]),
+        _, state, _ = offer_round(arr(1, 2), arr(0, 1), revealed=mask(2, {1}, {2}),
                                   gate_estimates=True)
-        assert msg.improve == 0.0
-        assert state.new_value == 1
-        assert state.quasi_local_minimum
+        assert state.offers[0] == 0.0
+        assert state.new_values[0] == 1
+        assert not state.offers[0] > 0        # quasi-local minimum
 
     def test_tie_breaks_to_smallest_agent_id(self):
-        import dataclasses
-
-        inst = two_agent_conflict()
-        state = new_dbo_state(1, 6, 2)
-        state.my_improve, state.new_value, state.can_move = 5.0, 2, True
-        msgs = {2: ImproveMsg(2, 5.0, 9.0, 0), 5: ImproveMsg(5, 5.0, 9.0, 0)}
-        base = build_agent_context(inst, 0)
-        ctx2 = dataclasses.replace(base, index=2, n=6)
-        res, _ = dbo_resolve(state, ctx2, msgs, np.array([5]), np.array([0]))
-        assert res.action == "change"
-        ctx5 = dataclasses.replace(base, index=5, n=6)
-        res, _ = dbo_resolve(state, ctx5, msgs, np.array([2]), np.array([0]))
-        assert res.action == "keep"
+        tables = tables_for(agents_on_two_values(6))
+        values = arr(1, 1, 1, 1, 1, 1)
+        state = new_breakout_state(values)
+        state.offers = np.array([0.0, 0.0, 5.0, 0.0, 0.0, 5.0])
+        state.new_values = arr(1, 1, 2, 1, 1, 2)
+        res, _ = dbo_resolve(state, tables, values, arr(0, 0, 0, 0, 0, 0))
+        assert res.change[2]
+        assert not res.change[5]
 
     def test_quasi_local_minimum_raises_weights(self):
-        inst = two_agent_conflict()
-        ctx = build_agent_context(inst, 0)
-        state = new_dbo_state(1, 2, 2)
-        state.consistent = False
-        state.my_improve = 0.0
-        msgs = {1: ImproveMsg(1, 0.0, ctx.w_unit, 0)}
-        res, increments = dbo_resolve(state, ctx, msgs, np.array([1]), np.array([1]))
-        assert res.action == "keep"
-        assert increments == [(1, 0, 1)]
-        apply_weight_increments(state, increments)
-        assert state.weights[1, 0, 1] == 2
+        tables = tables_for(agents_on_two_values())
+        values = arr(1, 2)
+        state = new_breakout_state(values)    # inconsistent, nobody offers
+        res, increments = dbo_resolve(state, tables, values, arr(0, 1))
+        assert not res.change.any()
+        raised = list(zip(*(k.tolist() for k in np.unravel_index(increments, (2, 2, 2, 2)))))
+        # (agent, neighbor, neighbor_code, own_code)
+        assert raised == [(0, 1, 1, 0), (1, 0, 0, 1)]
+        apply_weight_increments(state.weights, increments)
+        assert dense_weights(state.weights, 2, 2)[0, 1, 0, 1] == 2
 
     def test_missing_improve_messages_treated_as_zero(self):
-        inst = two_agent_conflict()
-        ctx = build_agent_context(inst, 0)
-        state = new_dbo_state(1, 2, 2)
-        state.my_improve, state.new_value, state.can_move = 1.0, 2, True
-        res, _ = dbo_resolve(state, ctx, {}, np.array([1]), np.array([1]))
-        assert res.action == "change"
+        # agent 1 offers nothing: agent 0's positive offer wins alone
+        tables = tables_for(agents_on_two_values())
+        values = arr(1, 2)
+        state = new_breakout_state(values)
+        state.offers = np.array([1.0, 0.0])
+        state.new_values = arr(2, 2)
+        res, _ = dbo_resolve(state, tables, values, arr(0, 1))
+        assert res.change[0]
+
+    def test_weights_accumulate_per_entry(self):
+        weights = ExcessWeights()
+        first = kernels.weight_keys(2, 2, arr(0, 1), arr(1, 0), arr(1, 0), arr(0, 1))
+        apply_weight_increments(weights, first)
+        apply_weight_increments(weights, first[:1])
+        dense = dense_weights(weights, 2, 2)
+        assert dense[0, 1, 0, 1] == 3 and dense[1, 0, 1, 0] == 2
+        assert (dense >= 1).all() and dense.sum() == 16 + 3
+        assert (np.diff(weights.keys) > 0).all()
