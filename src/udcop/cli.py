@@ -10,9 +10,10 @@ import sys
 from pathlib import Path
 
 from udcop import engine, experiments, oracle, presets
+from udcop.engine import format_float
 from udcop.generator import GenConfig, generate
 from udcop.model import save_instance, load_instance
-from udcop.solvers import SOLVER_KINDS
+from udcop.solvers import DIVISOR_MODES, SOLVER_KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +49,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--rounds", type=int, default=100)
     solve.add_argument("--p", type=float, default=0.6,
                        help="activation probability for dsa")
-    solve.add_argument("--divisor", choices=("revealed", "domain"),
+    solve.add_argument("--divisor", choices=DIVISOR_MODES,
                        default="revealed")
     solve.add_argument("--penalty", type=float, default=None,
                        help="finite disagreement penalty W for local search")
@@ -165,14 +166,10 @@ def _print_rounds(traces, label: str) -> None:
     for t in traces:
         per_agent = "  ".join(
             f"A{i}: {t.actions[i]} value={t.values[i]} "
-            f"est {_g(t.est_current[i])}->{_g(t.est_next[i])} "
-            f"cum_privacy={_g(t.cum_privacy[i])}"
+            f"est {format_float(t.est_current[i])}->{format_float(t.est_next[i])} "
+            f"cum_privacy={format_float(t.cum_privacy[i])}"
             for i in range(len(t.values)))
         print(f"round {t.round}: {per_agent}")
-
-
-def _g(x: float) -> str:
-    return f"{x:.10g}"
 
 
 def _cmd_trace_example(args) -> int:
@@ -183,7 +180,7 @@ def _cmd_trace_example(args) -> int:
         _print_rounds(traces, "privacy-aware stochastic search")
         print(f"final assignment: ({', '.join(str(v) for v in outcome.assignment)})")
         utils = outcome.per_agent_utilities
-        print("final per-agent utilities: " + ", ".join(_g(u) for u in utils))
+        print("final per-agent utilities: " + ", ".join(format_float(u) for u in utils))
         return 0
 
     udcop_outcome, _ = engine.run(inst, "dsau", params, seed=0, round_budget=2)
@@ -191,9 +188,9 @@ def _cmd_trace_example(args) -> int:
     _print_rounds(traces, "lexicographic (privacy, cost) baseline")
     print(f"achieved values: ({', '.join(str(v) for v in outcome.assignment)})")
     print("cumulative privacy: " +
-          ", ".join(_g(p) for p in outcome.per_agent_privacy))
+          ", ".join(format_float(p) for p in outcome.per_agent_privacy))
     extra = outcome.per_agent_privacy[1] - udcop_outcome.per_agent_privacy[1]
-    print(f"A1 extra privacy loss vs the privacy-aware run: {_g(extra)}")
+    print(f"A1 extra privacy loss vs the privacy-aware run: {format_float(extra)}")
     return 0
 
 

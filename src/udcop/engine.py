@@ -1,30 +1,30 @@
 """Deterministic synchronous round simulator with privacy accounting.
 
-The round state of all agents is held in arrays: ``values`` (int64[n]),
-``heard`` (int64[n], each agent's last announced 0-based code, -1 before
-its first announcement), ``revealed`` (bool[n, d], the values each agent
-has announced) and ``pending`` (bool[n], a value announcement is queued).
-The breakout solvers add a `solvers.BreakoutState`: offers, target values,
-consistency flags, termination counters and the breakout weights, stored
-sparsely as their excess over 1 for the entries actually raised, so their
-memory follows the raised entries rather than n²d².
+The round state of all agents is held in arrays: ``values`` (int64[n], the
+current values), ``pending`` (bool[n], a value announcement is queued) and
+the `RevealLedger`, whose ``revealed`` mask (bool[n, d]) records the values
+each agent has announced and is the one record that both the privacy
+charges and the revelation-aware estimates read. The breakout solvers add
+a `solvers.BreakoutState`: offers, target values, consistency flags,
+termination counters and the breakout weights, stored sparsely as their
+excess over 1 for the entries actually raised, so their memory follows the
+raised entries rather than n²d².
 
-Each round runs three phases:
+Each round runs two phases:
 
-1. send:    every agent with a queued value announcement sends it (on the
-            first round and after adopting a new value); on breakout
-            exchange rounds every agent sends its improve offer instead.
-            First-time value announcements are charged to the reveal
-            ledger here, including the initial random value.
-2. deliver: all messages reach their recipients. The all-equal constraint
-            links every pair of agents, so every agent hears every
-            announcement: delivery updates the one broadcast ``heard``
-            vector, and every agent's neighborhood is all other agents.
-3. step:    one array step decides for all agents (keep / change / weight
-            updates) from the just-delivered values, with one (n, d)
-            evaluation; random draws come from each agent's own stream.
-            Adopted values become visible to others only through the next
-            round's send phase.
+1. send:  every agent with a queued value announcement sends it (on the
+          first round and after adopting a new value) to every other
+          agent: the all-equal constraint links every pair. The ledger
+          charges first-time announcements, including the initial random
+          value. On breakout exchange rounds every agent sends its improve
+          offer instead.
+2. step:  one array step decides for all agents (keep / change / weight
+          updates) with one (n, d) evaluation against the current values;
+          random draws come from each agent's own stream. Every current
+          value has been announced before the step reads it: round 1
+          announces every agent, and a value adopted in a step is
+          announced in the next value round, before any further step
+          (breakout offer rounds never move a value).
 
 The breakout solvers alternate value rounds (odd) and improve rounds
 (even), so one of their exchange cycles spans two engine rounds.
@@ -37,7 +37,6 @@ previous-phase state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -72,28 +71,43 @@ class SolverParams:
 
 
 class RevealLedger:
-    """Once-only accounting of revealed values (or constraint ids)."""
+    """Once-only accounting of revealed values.
 
-    def __init__(self, inst: Instance):
-        self._inst = inst
-        self.entries: list[set] = [set() for _ in range(inst.n)]
-        self.cum: list[float] = [0.0] * inst.n
+    `revealed[i, v - 1]` marks that agent i has announced value v; `cum[i]`
+    is the privacy agent i has paid so far. A first announcement of v costs
+    `tables.privacy[i, v - 1]` (the price of the value, or of constraint id
+    ``c<v>`` for kind ``udcoppc``); a repeat costs nothing, so every
+    (agent, entry) pair is charged at most once.
+    """
 
-    def record(self, agent: int, entry) -> float:
-        """Charge `entry` for `agent` if new; repeated reveals cost 0."""
-        if self._inst.kind == "udcoppc":
-            valid = isinstance(entry, str) and entry.startswith("c") \
-                and entry[1:].isdigit() and int(entry[1:]) in self._inst.domains[agent]
-        else:
-            valid = entry in self._inst.domains[agent]
+    def __init__(self, tables: solvers.AgentTables):
+        self._privacy = tables.privacy
+        # eval_unary equals unary on every domain value (+inf costs
+        # included) and is +inf where unary is 0 outside the domain
+        self._in_domain = tables.eval_unary == tables.unary
+        self.revealed = np.zeros(tables.privacy.shape, dtype=bool)
+        self.cum: list[float] = [0.0] * len(tables.privacy)
+
+    def record(self, agents, values) -> list[tuple[int, float]]:
+        """Charge each of the distinct `agents` for announcing its entry of
+        `values`; return (agent, charge) for the first announcements."""
+        agents = np.asarray(agents, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        n, d = self.revealed.shape
+        try:   # flat (agent, code) indices; rejects codes outside 0..d-1
+            entries = np.ravel_multi_index((agents, values - 1), (n, d))
+            valid = self._in_domain.take(entries).all()
+        except ValueError:
+            valid = False
         if not valid:
-            raise ValueError(f"agent {agent}: {entry!r} is not a revealable entry")
-        if entry in self.entries[agent]:
-            return 0.0
-        self.entries[agent].add(entry)
-        cost = self._inst.entry_cost(agent, entry)
-        self.cum[agent] += cost
-        return cost
+            raise ValueError(f"agents {agents.tolist()}: values {values.tolist()} "
+                             "are not all inside the agents' domains")
+        first = entries[~self.revealed.take(entries)]
+        self.revealed.put(first, True)
+        charges = list(zip((first // d).tolist(), self._privacy.take(first).tolist()))
+        for i, cost in charges:
+            self.cum[i] += cost
+        return charges
 
     def total(self) -> float:
         return sum(self.cum)
@@ -179,20 +193,30 @@ def metrics(inst: Instance, ledger: RevealLedger, assignment: Sequence[int],
 QUIET_ROUNDS_TO_STOP = 2
 
 
-def _initial_values(tables: solvers.AgentTables, params: SolverParams,
-                    rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    scripted = params.initial_values
-    if scripted is None:
-        return solvers.draw_values(tables, rngs)
-    n = len(tables.domains)
-    if len(scripted) != n:
-        raise ValueError(f"initial_values: expected {n} values, one per agent, "
-                         f"got {len(scripted)}")
-    for agent, (value, dom) in enumerate(zip(scripted, tables.domains)):
-        if value not in dom:
-            raise ValueError(f"agent {agent}: scripted initial value {value} "
-                             "is outside its domain")
-    return np.array(scripted, dtype=np.int64)
+def _check_params(params: SolverParams, domains: Sequence[Sequence[int]]) -> None:
+    """Reject parameters a run cannot use, naming the field (and the round
+    and agent of a scripted value) before the first round starts."""
+    if params.divisor_mode not in solvers.DIVISOR_MODES:
+        raise ValueError(f"divisor_mode: must be one of {solvers.DIVISOR_MODES}, "
+                         f"got {params.divisor_mode!r}")
+    n = len(domains)
+    if params.initial_values is not None:
+        if len(params.initial_values) != n:
+            raise ValueError(f"initial_values: expected {n} values, one per agent, "
+                             f"got {len(params.initial_values)}")
+        for agent, value in enumerate(params.initial_values):
+            if value not in domains[agent]:
+                raise ValueError(f"initial_values: agent {agent}: value {value} "
+                                 "is outside its domain")
+    for index, scripted in enumerate(params.candidate_script):
+        where = f"candidate_script[{index}] (round {index + 1})"
+        for agent, value in scripted.items():
+            if agent not in range(n):
+                raise ValueError(f"{where}: agent {agent} does not exist "
+                                 f"(agents are 0..{n - 1})")
+            if value not in domains[agent]:
+                raise ValueError(f"{where}: agent {agent}: value {value} "
+                                 "is outside its domain")
 
 
 def run(inst: Instance, solver: str, params: SolverParams | None = None,
@@ -210,6 +234,7 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     if violations:
         raise InstanceValidationError(violations)
     params = params or SolverParams()
+    _check_params(params, inst.domains)
 
     n = inst.n
     rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]
@@ -218,12 +243,11 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
                             divisor_mode=params.divisor_mode,
                             conflict_guard=not params.pure_alg2)
         for i in range(n)])
-    values = _initial_values(tables, params, rngs)
+    values = (solvers.draw_values(tables, rngs) if params.initial_values is None
+              else np.array(params.initial_values, dtype=np.int64))
     w_total = (float(params.penalty) if params.penalty is not None
                else inst.penalty_surrogate())
-    ledger = RevealLedger(inst)
-    heard = np.full(n, -1, dtype=np.int64)       # heard[j]: j's last announced code
-    revealed = np.zeros((n, inst.d), dtype=bool)  # values each agent announced
+    ledger = RevealLedger(tables)
     pending = np.ones(n, dtype=bool)             # value announcements queued
     breakout = (solvers.new_breakout_state(values) if solver in ("dbo", "dbou")
                 else None)
@@ -237,21 +261,17 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     for rnd in range(1, round_budget + 1):
         rounds_used = rnd
         value_round = breakout is None or rnd % 2 == 1
-        # send and deliver
+        # send and charge
         new_entries: list[tuple] = [()] * n
         charged = [0.0] * n
         if value_round:
             senders = np.flatnonzero(pending)
-            pending[:] = False
-            for i in senders.tolist():
-                entry = inst.reveal_entry(i, int(values[i]))
-                if entry not in ledger.entries[i]:
-                    new_entries[i] = (entry,)
-                charged[i] = ledger.record(i, entry)
-            codes = values[senders] - 1
-            revealed[senders, codes] = True
-            heard[senders] = codes
-            messages += (n - 1) * len(senders)
+            if senders.size:
+                pending[:] = False
+                for i, cost in ledger.record(senders, values[senders]):
+                    new_entries[i] = (inst.reveal_entry(i, int(values[i])),)
+                    charged[i] = cost
+                messages += (n - 1) * len(senders)
         else:
             messages += (n - 1) * n              # every agent sends its offer
 
@@ -259,16 +279,16 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         scripted = script[rnd - 1] if rnd - 1 < len(script) else None
         weights_changed = False
         if solver == "dsa":
-            res = solvers.dsa_step(tables, values, heard, params.p, rngs)
+            res = solvers.dsa_step(tables, values, params.p, rngs)
         elif solver == "dsau":
-            res = solvers.dsau_step(tables, values, heard, revealed, rngs, scripted)
+            res = solvers.dsau_step(tables, values, ledger.revealed, rngs, scripted)
         elif solver == "molex":
             res = solvers.modcop_dsa_step(tables, values, rngs, scripted)
         elif value_round:
-            res = solvers.dbo_send_improve(breakout, tables, values, heard, revealed,
+            res = solvers.dbo_send_improve(breakout, tables, values, ledger.revealed,
                                            gate_estimates=solver == "dbou")
         else:
-            res, increments = solvers.dbo_resolve(breakout, tables, values, heard)
+            res, increments = solvers.dbo_resolve(breakout, tables, values)
             solvers.apply_weight_increments(breakout.weights, increments)
             weights_changed = increments.size > 0
         values = np.where(res.change, res.candidate, values)
@@ -306,9 +326,9 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
 # Trace serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+def format_float(x: float) -> str:
+    """The one number format of traces, CSVs and worked examples: ten
+    significant digits (``inf``, ``-inf`` and ``nan`` as such)."""
     return f"{x:.10g}"
 
 
@@ -323,10 +343,10 @@ def format_trace(traces: Sequence[RoundTrace]) -> str:
                 t.actions[i],
                 str(t.values[i]),
                 ",".join(str(e) for e in t.revealed[i]),
-                _fmt(t.charged[i]),
-                _fmt(t.est_current[i]),
-                _fmt(t.est_next[i]),
-                _fmt(t.cum_privacy[i]),
+                format_float(t.charged[i]),
+                format_float(t.est_current[i]),
+                format_float(t.est_next[i]),
+                format_float(t.cum_privacy[i]),
             )))
     return "\n".join(lines) + "\n"
 

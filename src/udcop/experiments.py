@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from udcop.engine import SolverParams, run
+from udcop.engine import SolverParams, format_float, run
 from udcop.generator import GenConfig, generate
 from udcop.rng import derive_seed
 
@@ -187,21 +187,17 @@ def aggregate(rows: Sequence[MetricsRow]) -> SweepSummary:
 # Output files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def rows_to_csv(rows: Iterable[MetricsRow]) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for r in rows:
         out.write(",".join((
             r.algorithm,
-            _fmt(r.density),
+            format_float(r.density),
             str(r.seed),
-            _fmt(r.privacy_loss_per_agent),
-            _fmt(r.solution_quality_per_agent),
-            _fmt(r.total_cost_per_agent),
+            format_float(r.privacy_loss_per_agent),
+            format_float(r.solution_quality_per_agent),
+            format_float(r.total_cost_per_agent),
             str(r.rounds),
             str(r.messages),
             "true" if r.satisfied else "false",
@@ -210,8 +206,9 @@ def rows_to_csv(rows: Iterable[MetricsRow]) -> str:
 
 
 def summary_to_text(summary: SweepSummary) -> str:
-    """Plain-text tables: privacy per agent and total cost per agent by
-    (algorithm, density), and pooled solution quality per algorithm."""
+    """Plain-text tables: privacy per agent, total cost per agent and the
+    agreement rate by (algorithm, density), and pooled solution quality per
+    algorithm."""
     algorithms = sorted({c.algorithm for c in summary.cells})
     densities = sorted({c.density for c in summary.cells})
     lines = []
@@ -232,6 +229,8 @@ def summary_to_text(summary: SweepSummary) -> str:
 
     table("Privacy loss per agent (mean by density)", lambda c: c.mean_privacy)
     table("Total cost per agent (mean by density)", lambda c: c.mean_total)
+    table("Agreement rate (share of runs that agree, by density)",
+          lambda c: c.satisfied_rate)
     lines.append("Average solution quality per agent")
     for algo in algorithms:
         lines.append(f"{algo:<9} {summary.quality_by_algorithm[algo]:>8.2f}")

@@ -70,7 +70,8 @@ class Instance:
         return float(self.unary[agent].get(value, 0.0))
 
     def reveal_entry(self, agent: int, value: int):
-        """Ledger key charged when `agent` first proposes `value`."""
+        """Trace label of the entry revealed when `agent` first proposes
+        `value`: the value itself, or its constraint id for udcoppc."""
         if self.kind == "udcoppc":
             return f"c{value}"
         return value
@@ -80,11 +81,6 @@ class Instance:
         if not self.privacy:
             return 0.0
         return float(self.privacy[agent].get(self.reveal_entry(agent, value), 0.0))
-
-    def entry_cost(self, agent: int, entry) -> float:
-        if not self.privacy:
-            return 0.0
-        return float(self.privacy[agent].get(entry, 0.0))
 
     def penalty_surrogate(self) -> float:
         """Finite penalty used by solvers when the true penalty is infinite."""

@@ -13,13 +13,14 @@
   and current value lexicographically, privacy first.
 
 Every step takes the round state of all agents as arrays -- ``values``
-(int64[n], 1-based), ``heard`` (int64[n], each agent's last announced
-0-based code, -1 before its first announcement) and ``revealed`` (bool[n, d],
-the values each agent has announced) -- and returns one `StepResult` for all
-agents. The all-equal constraint links every pair of agents, so each
-agent's neighborhood is all the other agents. Random draws come from each
-agent's own stream, in the same order as a per-agent loop would make them.
-Value adoption and reveal accounting are applied by the engine.
+(int64[n], 1-based) and, where the estimate needs it, ``revealed``
+(bool[n, d], the values each agent has announced) -- and returns one
+`StepResult` for all agents. The all-equal constraint links every pair of
+agents, so each agent's neighborhood is all the other agents, and every
+current value has been announced to all of them before a step runs: the
+steps evaluate against ``values - 1``. Random draws come from each agent's
+own stream, in the same order as a per-agent loop would make them. Value
+adoption and reveal accounting are applied by the engine.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from udcop import kernels
 from udcop.model import Instance
 
 SOLVER_KINDS = ("dsa", "dsau", "dbo", "dbou", "molex")
+DIVISOR_MODES = ("revealed", "domain")
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +127,14 @@ class ExcessWeights:
     counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
-def local_eval_all(tables: AgentTables, heard: np.ndarray,
+def local_eval_all(tables: AgentTables, values: np.ndarray,
                    weights: ExcessWeights | None = None) -> np.ndarray:
     """float64[n, d]: every agent's evaluation of every value -- unary cost
-    plus conflict penalties against the other agents' heard codes (agents
-    not heard from yet are skipped), weighted by `weights` when given."""
+    plus conflict penalties against the other agents' current values,
+    weighted by `weights` when given."""
     if weights is None:
-        return kernels.eval_all_unit(tables.eval_unary, heard, tables.w_unit)
-    return kernels.eval_all_weighted(tables.eval_unary, heard, tables.w_unit,
+        return kernels.eval_all_unit(tables.eval_unary, values - 1, tables.w_unit)
+    return kernels.eval_all_weighted(tables.eval_unary, values - 1, tables.w_unit,
                                      weights.keys, weights.counts)
 
 
@@ -190,7 +192,7 @@ def estimate_cost(unary: np.ndarray, privacy: np.ndarray, revealed: np.ndarray,
     elif divisor_mode == "domain":
         scale = 1.0 - utility_risk(domain_size)
     else:
-        raise ValueError(f"divisor_mode must be 'revealed' or 'domain', got {divisor_mode!r}")
+        raise ValueError(f"divisor_mode must be one of {DIVISOR_MODES}, got {divisor_mode!r}")
     cost = _ordered_sum(np.where(revealed, unary, 0.0)) * scale
     return cost + _ordered_sum(np.where(revealed, privacy, 0.0))
 
@@ -224,12 +226,12 @@ class StepResult:
 # DSA family
 # ---------------------------------------------------------------------------
 
-def dsa_step(tables: AgentTables, values: np.ndarray, heard: np.ndarray, p: float,
+def dsa_step(tables: AgentTables, values: np.ndarray, p: float,
              rngs: Sequence[np.random.Generator]) -> StepResult:
     """Move to the best-evaluated value (ties toward the smallest id) with
     probability p when it strictly beats the current one; an agent draws
     its activation coin only when such an improvement exists."""
-    evals = local_eval_all(tables, heard)
+    evals = local_eval_all(tables, values)
     candidate = evals.argmin(axis=1) + 1
     est_cur = _at(evals, values)
     est_next = _at(evals, candidate)
@@ -239,14 +241,14 @@ def dsa_step(tables: AgentTables, values: np.ndarray, heard: np.ndarray, p: floa
     return StepResult(change, candidate, est_cur, est_next)
 
 
-def dsau_step(tables: AgentTables, values: np.ndarray, heard: np.ndarray,
-              revealed: np.ndarray, rngs: Sequence[np.random.Generator],
+def dsau_step(tables: AgentTables, values: np.ndarray, revealed: np.ndarray,
+              rngs: Sequence[np.random.Generator],
               scripted: Mapping[int, int] | None = None) -> StepResult:
     """Each agent considers one uniformly drawn (or scripted) candidate and
     adopts it only when revealing it strictly lowers the cost estimate.
 
     With the conflict guard (default) the candidate must additionally not
-    worsen the local evaluation against the current heard values; pure
+    worsen the local evaluation against the current values; pure
     estimate-only behavior is available via conflict_guard=False.
     """
     candidate = draw_values(tables, rngs, scripted)
@@ -254,7 +256,7 @@ def dsau_step(tables: AgentTables, values: np.ndarray, heard: np.ndarray,
     est_next = _estimate(tables, _also_revealing(revealed, candidate))
     change = est_next < est_cur
     if tables.conflict_guard and change.any():
-        evals = local_eval_all(tables, heard)
+        evals = local_eval_all(tables, values)
         change &= ~(_at(evals, candidate) > _at(evals, values))
     return StepResult(change, candidate, est_cur, est_next)
 
@@ -305,15 +307,14 @@ def new_breakout_state(values: np.ndarray) -> BreakoutState:
 
 
 def dbo_send_improve(state: BreakoutState, tables: AgentTables, values: np.ndarray,
-                     heard: np.ndarray, revealed: np.ndarray,
-                     gate_estimates: bool = False) -> StepResult:
+                     revealed: np.ndarray, gate_estimates: bool = False) -> StepResult:
     """Compute every agent's best possible improvement and its offer.
 
     Updates the offers, target values, consistency flags and termination
     counters on `state`. With `gate_estimates` (dbou) an offer is withdrawn
     unless revealing the best value strictly lowers the cost estimate.
     """
-    evals = local_eval_all(tables, heard, state.weights)
+    evals = local_eval_all(tables, values, state.weights)
     possible = evals.argmin(axis=1) + 1
     current = _at(evals, values)
     best = _at(evals, possible)
@@ -329,8 +330,8 @@ def dbo_send_improve(state: BreakoutState, tables: AgentTables, values: np.ndarr
     return StepResult(np.zeros(len(values), dtype=bool), possible, current, best)
 
 
-def dbo_resolve(state: BreakoutState, tables: AgentTables, values: np.ndarray,
-                heard: np.ndarray) -> tuple[StepResult, np.ndarray]:
+def dbo_resolve(state: BreakoutState, tables: AgentTables,
+                values: np.ndarray) -> tuple[StepResult, np.ndarray]:
     """Decide the move and the weight increments from the offer exchange.
 
     Every agent sees every offer, so the single mover is the first agent
@@ -348,11 +349,10 @@ def dbo_resolve(state: BreakoutState, tables: AgentTables, values: np.ndarray,
     if state.offers[mover] > 0:
         change[mover] = True
     else:
-        own = values - 1
-        violated = (~state.consistent)[:, None] & (heard >= 0) & (heard != own[:, None])
-        np.fill_diagonal(violated, False)
+        codes = values - 1
+        violated = (~state.consistent)[:, None] & (codes != codes[:, None])
         agent, neighbor = np.nonzero(violated)
-        increments = kernels.weight_keys(n, d, agent, neighbor, heard[neighbor], own[agent])
+        increments = kernels.weight_keys(n, d, agent, neighbor, codes[neighbor], codes[agent])
     return StepResult(change, state.new_values, state.offers, state.offers), increments
 
 

@@ -1,8 +1,9 @@
 """Per-agent reference simulator for the batched round loop in udcop.engine.
 
 Every agent keeps its own state object, evaluates its own neighborhood one
-neighbor at a time and, for the breakout pair, owns a dense int64[n, d, d]
-weight array. The logic follows the protocol step by step, so it is slow
+neighbor at a time from the values it has heard and, for the breakout pair,
+owns a dense int64[n, d, d] weight array. Privacy is charged from per-agent
+sets of revealed entries (values, or ``c<v>`` constraint ids). The logic follows the protocol step by step, so it is slow
 but easy to check by eye; tests compare `udcop.engine.run` against
 `run_reference` for identical outcomes and traces.
 """
@@ -13,8 +14,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from udcop.engine import QUIET_ROUNDS_TO_STOP, RevealLedger, RoundTrace, metrics
+from udcop.engine import QUIET_ROUNDS_TO_STOP, RoundTrace, metrics
 from udcop.rng import STREAM_SOLVER, agent_stream
+
+
+class SetLedger:
+    """Once-only charges kept as per-agent sets of revealed entries."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.entries = [set() for _ in range(inst.n)]
+        self.cum = [0.0] * inst.n
+
+    def record(self, agent, entry) -> float:
+        if entry in self.entries[agent]:
+            return 0.0
+        self.entries[agent].add(entry)
+        cost = float(self.inst.privacy[agent].get(entry, 0.0)) if self.inst.privacy else 0.0
+        self.cum[agent] += cost
+        return cost
+
+    def total(self) -> float:
+        return sum(self.cum)
 
 
 @dataclass(frozen=True)
@@ -172,7 +193,7 @@ def run_reference(inst, solver, params, seed=0, round_budget=100):
             agents[i].weights = np.ones((n, inst.d, inst.d), dtype=np.int64)
     w_total = (float(params.penalty) if params.penalty is not None
                else inst.penalty_surrogate())
-    ledger = RevealLedger(inst)
+    ledger = SetLedger(inst)
     heard = [-1] * n
     traces, messages, quiet, rounds = [], 0, 0, 0
     for rnd in range(1, round_budget + 1):

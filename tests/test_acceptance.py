@@ -139,10 +139,10 @@ def test_c6_breakout_properties(monkeypatch):
     captured = []
     real = solvers.dbo_send_improve
 
-    def spy(state, tables, values, heard, revealed, gate_estimates=False):
+    def spy(state, tables, values, revealed, gate_estimates=False):
         n, d = tables.eval_unary.shape
-        snapshot = (tables, heard.copy(), dense_weights(state.weights, n, d))
-        res = real(state, tables, values, heard, revealed, gate_estimates)
+        snapshot = (tables, values - 1, dense_weights(state.weights, n, d))
+        res = real(state, tables, values, revealed, gate_estimates)
         captured.append((snapshot, res.candidate.copy()))
         return res
 
@@ -163,13 +163,13 @@ def test_c6_breakout_properties(monkeypatch):
             # weights rebuilt densely: weights[i, j, v, w] is agent i's
             # weight for the pair (self=v, neighbor j=w)
             previous = None
-            for (tables, heard, weights), candidates in captured:
+            for (tables, codes, weights), candidates in captured:
                 for i in range(inst.n):
                     evals = []
                     for code in range(inst.d):
                         total = tables.eval_unary[i, code]
-                        for j, vj in enumerate(heard):
-                            if j != i and vj >= 0 and vj != code:
+                        for j, vj in enumerate(codes):
+                            if j != i and vj != code:
                                 total += tables.w_unit * weights[i, j, code, vj]
                         evals.append(total)
                     best = min(range(inst.d), key=lambda c: (evals[c], c)) + 1

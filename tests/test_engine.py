@@ -10,31 +10,44 @@ from udcop.engine import RevealLedger, SolverParams, format_trace, metrics, run
 from udcop.generator import GenConfig, generate
 from udcop.model import KINDS, GlobalConstraint, Instance, InstanceValidationError
 from udcop.presets import scripted_meeting_params, three_student_meeting
-from udcop.solvers import SOLVER_KINDS
+from udcop.solvers import SOLVER_KINDS, build_agent_context, stack_contexts
 
 MEETING = three_student_meeting()
 
 
+def ledger_for(inst):
+    return RevealLedger(stack_contexts([build_agent_context(inst, i)
+                                        for i in range(inst.n)]))
+
+
 class TestRevealLedger:
     def test_first_reveal_charges_full_cost(self):
-        ledger = RevealLedger(MEETING)
-        assert ledger.record(0, 1) == 80.0
+        ledger = ledger_for(MEETING)
+        assert ledger.record([0], [1]) == [(0, 80.0)]
+        assert ledger.revealed[0].tolist() == [True, False, False]
 
     def test_repeat_reveal_is_free(self):
-        ledger = RevealLedger(MEETING)
-        ledger.record(0, 1)
-        assert ledger.record(0, 1) == 0.0
+        ledger = ledger_for(MEETING)
+        ledger.record([0], [1])
+        assert ledger.record([0], [1]) == []
         assert ledger.cum[0] == 80.0
 
     def test_constraint_id_reveal(self):
         pc = three_student_meeting("udcoppc")
-        ledger = RevealLedger(pc)
-        assert ledger.record(1, "c3") == 10.0
+        ledger = ledger_for(pc)
+        assert ledger.record([1], [3]) == [(1, 10.0)]     # charges entry "c3"
 
     def test_unknown_entry_rejected(self):
-        ledger = RevealLedger(MEETING)
+        ledger = ledger_for(MEETING)
         with pytest.raises(ValueError):
-            ledger.record(0, 9)
+            ledger.record([0], [9])
+        restricted = Instance(kind="udcop", n=2, d=3, domains=((1, 3), (1, 2, 3)),
+                              unary=({}, {}), privacy=({1: 1.0, 3: 1.0},
+                                                       {1: 1.0, 2: 1.0, 3: 1.0}))
+        ledger = ledger_for(restricted)
+        with pytest.raises(ValueError):
+            ledger.record([1, 0], [2, 2])
+        assert not ledger.revealed.any() and ledger.cum == [0.0, 0.0]
 
 
 class TestScriptedMeetingRun:
@@ -103,6 +116,33 @@ class TestRunBasics:
             run(MEETING, "dsa", SolverParams(initial_values=initial), seed=0,
                 round_budget=5)
 
+    @pytest.mark.parametrize("solver", SOLVER_KINDS)
+    def test_unknown_divisor_mode_rejected(self, solver):
+        with pytest.raises(ValueError, match="divisor_mode"):
+            run(MEETING, solver, SolverParams(divisor_mode="mean"), seed=0,
+                round_budget=5)
+
+    @pytest.mark.parametrize("script, message", [
+        ({0: 7}, r"candidate_script\[1\] \(round 2\): agent 0: value 7"),
+        ({5: 1}, r"candidate_script\[1\] \(round 2\): agent 5 does not exist"),
+    ])
+    def test_bad_candidate_script_rejected(self, script, message):
+        params = SolverParams(candidate_script=({0: 1}, script))
+        for solver in ("dsau", "molex"):
+            with pytest.raises(ValueError, match=message):
+                run(MEETING, solver, params, seed=0, round_budget=5)
+
+    def test_scripted_value_outside_restricted_domain_rejected(self):
+        inst = Instance(kind="udcop", n=2, d=3, domains=((1, 3), (1, 2, 3)),
+                        unary=({}, {}), privacy=({1: 1.0, 3: 1.0},
+                                                 {1: 1.0, 2: 1.0, 3: 1.0}))
+        params = SolverParams(candidate_script=({0: 2},))
+        with pytest.raises(ValueError, match=r"round 1\): agent 0: value 2 is outside"):
+            run(inst, "dsau", params, seed=0, round_budget=5)
+        with pytest.raises(ValueError, match="initial_values: agent 0: value 2"):
+            run(inst, "dsa", SolverParams(initial_values=(2, 2)), seed=0,
+                round_budget=5)
+
     def test_single_agent_run(self):
         inst = Instance(kind="udcop", n=1, d=2, domains=((1, 2),),
                         unary=({1: 5.0, 2: 1.0},), privacy=({1: 1.0, 2: 1.0},),
@@ -165,11 +205,9 @@ class TestValueVisibilityDelay:
 
 class TestMetrics:
     def test_meeting_outcome_decomposition(self):
-        ledger = RevealLedger(MEETING)
-        ledger.record(0, 1)
-        ledger.record(1, 1)
-        ledger.record(2, 3)
-        ledger.record(2, 1)
+        ledger = ledger_for(MEETING)
+        ledger.record([0, 1, 2], [1, 1, 3])
+        ledger.record([2], [1])
         out = metrics(MEETING, ledger, (1, 1, 1))
         assert out.per_agent_utilities == pytest.approx((150.0, 220.0, 130.0))
         assert out.satisfied
@@ -179,14 +217,14 @@ class TestMetrics:
 
     def test_empty_ledger_zero_assignment(self):
         inst = generate(GenConfig(n=4, d=3, density=0.0, seed=1))
-        ledger = RevealLedger(inst)
+        ledger = ledger_for(inst)
         out = metrics(inst, ledger, (2, 2, 2, 2))
         assert out.privacy_loss_per_agent == 0.0
         assert out.solution_quality_per_agent == 0.0
         assert out.total_cost_per_agent == 0.0
 
     def test_violation_flagged_and_penalized_separately(self):
-        ledger = RevealLedger(MEETING)
+        ledger = ledger_for(MEETING)
         out = metrics(MEETING, ledger, (1, 1, 3), penalty=9000.0)
         assert not out.satisfied
         assert out.solution_quality_per_agent == pytest.approx((70 + 120 + 230) / 3)

@@ -93,6 +93,13 @@ def test_summary_text_mentions_everything(small_rows):
     assert "Total cost per agent" in text
     assert "Average solution quality per agent" in text
     assert "dsau" in text
+    # the agreement table shows each cell's satisfied rate
+    summary = aggregate(small_rows)
+    agreement = text.split("Agreement rate")[1].split("\n\n")[0].splitlines()
+    for algo in ("dsa", "dsau"):
+        row = next(line for line in agreement if line.startswith(algo + " "))
+        assert row.split()[1:] == [f"{summary.cell(algo, d).satisfied_rate:.2f}"
+                                   for d in (0.2, 0.5)]
 
 
 def test_write_outputs_round_trip(tmp_path, small_rows):

@@ -4,7 +4,7 @@ import pytest
 from udcop import kernels
 
 
-def naive_eval(unary, heard, w_unit, weights=None):
+def naive_eval(unary, codes, w_unit, weights=None):
     """Straightforward reference: one agent, value and neighbor at a time.
 
     weights, when given, is dense int64[n, n, d, d] with weights[i, j, v, w]
@@ -16,8 +16,8 @@ def naive_eval(unary, heard, w_unit, weights=None):
         for v in range(d):
             conflict = 0
             for j in range(n):
-                w = heard[j]
-                if j != i and w >= 0 and w != v:
+                w = codes[j]
+                if j != i and w != v:
                     conflict += 1 if weights is None else weights[i, j, v, w]
             out[i, v] = unary[i, v] + w_unit * conflict
     return out
@@ -25,9 +25,9 @@ def naive_eval(unary, heard, w_unit, weights=None):
 
 def random_state(rng, n=8, d=6):
     unary = rng.integers(0, 10, size=(n, d)).astype(np.float64)
-    heard = rng.integers(-1, d, size=n).astype(np.int64)
+    codes = rng.integers(0, d, size=n).astype(np.int64)
     weights = rng.integers(1, 5, size=(n, n, d, d)).astype(np.int64)
-    return unary, heard, weights
+    return unary, codes, weights
 
 
 def sparse_excess(weights):
@@ -42,21 +42,21 @@ def sparse_excess(weights):
 @pytest.mark.parametrize("seed", range(10))
 def test_unit_kernel_matches_naive(seed):
     rng = np.random.default_rng(seed)
-    unary, heard, _ = random_state(rng)
-    got = kernels.eval_all_unit(unary, heard, 7.5)
-    assert got == pytest.approx(naive_eval(unary, heard, 7.5))
+    unary, codes, _ = random_state(rng)
+    got = kernels.eval_all_unit(unary, codes, 7.5)
+    assert got == pytest.approx(naive_eval(unary, codes, 7.5))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_weighted_kernel_matches_naive(seed):
     rng = np.random.default_rng(seed)
-    unary, heard, weights = random_state(rng)
+    unary, codes, weights = random_state(rng)
     n, d = unary.shape
     same = np.eye(n, dtype=bool)[:, :, None, None] | np.eye(d, dtype=bool)
     weights[same] = 1     # raised entries never pair an agent with itself or equal codes
     keys, counts = sparse_excess(weights)
-    got = kernels.eval_all_weighted(unary, heard, 3.25, keys, counts)
-    assert got == pytest.approx(naive_eval(unary, heard, 3.25, weights=weights))
+    got = kernels.eval_all_weighted(unary, codes, 3.25, keys, counts)
+    assert got == pytest.approx(naive_eval(unary, codes, 3.25, weights=weights))
 
 
 def test_weight_keys_are_the_documented_flat_layout():
@@ -68,8 +68,8 @@ def test_weight_keys_are_the_documented_flat_layout():
 
 def test_infinite_unary_slots_propagate():
     unary = np.array([[1.0, np.inf, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    heard = np.array([0, 2, 2], dtype=np.int64)
-    out = kernels.eval_all_unit(unary, heard, 10.0)
+    codes = np.array([0, 2, 2], dtype=np.int64)
+    out = kernels.eval_all_unit(unary, codes, 10.0)
     assert np.isinf(out[0, 1]) and out[0, 2] == 0.0
 
 

@@ -123,44 +123,40 @@ class TestLocalEval:
     def test_one_conflict_with_unit_weight(self):
         tables = tables_for(penalty=2000.0)   # two neighbors -> w_unit = 1000
         assert tables.w_unit == pytest.approx(1000.0)
-        got = local_eval_all(tables, arr(0, 0, 2))[0, 0]   # codes: x2=1, x3=3
+        got = local_eval_all(tables, arr(1, 1, 3))[0, 0]   # x2=1, x3=3
         assert got == pytest.approx(70.0 + 1000.0)
 
     def test_no_conflicts_is_unary_only(self):
-        got = local_eval_all(tables_for(), arr(0, 0, 0))[1, 0]
+        got = local_eval_all(tables_for(), arr(1, 1, 1))[1, 0]
         assert got == pytest.approx(120.0)
 
     def test_eval_linear_in_weights(self):
         tables = tables_for(penalty=2000.0)
-        heard = arr(0, 0, 2)
-        base = local_eval_all(tables, heard, ExcessWeights())[0, 0]
+        values = arr(1, 1, 3)
+        base = local_eval_all(tables, values, ExcessWeights())[0, 0]
         # agent 0's weight for (self=1, agent 2 on 3) raised from 1 to 2
         weights = ExcessWeights(kernels.weight_keys(3, 3, arr(0), arr(2), arr(2), arr(0)),
                                 arr(1))
-        bumped = local_eval_all(tables, heard, weights)[0, 0]
+        bumped = local_eval_all(tables, values, weights)[0, 0]
         assert bumped - base == pytest.approx(tables.w_unit)
-
-    def test_unknown_neighbors_do_not_conflict(self):
-        got = local_eval_all(tables_for(), arr(-1, -1, -1))[0, 0]
-        assert got == pytest.approx(70.0)
 
 
 class TestDsaStep:
     def test_forced_change_when_p_is_one(self):
         values = arr(3, 1, 1)
-        res = dsa_step(tables_for(), values, arr(2, 0, 0), 1.0, rngs(3))
+        res = dsa_step(tables_for(), values, 1.0, rngs(3))
         assert res.change[0] and adopted(res, values)[0] == 1
 
     def test_keep_when_current_is_best(self):
         values = arr(1, 1, 1)
-        res = dsa_step(tables_for(), values, arr(0, 0, 0), 1.0, rngs(3))
+        res = dsa_step(tables_for(), values, 1.0, rngs(3))
         assert not res.change[0] and adopted(res, values)[0] == 1
 
     def test_activation_frequency_tracks_p(self):
         # agent 0 can always improve; accept within 0.6 +/- 0.02
-        tables, values, heard = tables_for(), arr(3, 1, 1), arr(2, 0, 0)
+        tables, values = tables_for(), arr(3, 1, 1)
         streams = rngs(3, seed=1234)
-        changes = sum(bool(dsa_step(tables, values, heard, 0.6, streams).change[0])
+        changes = sum(bool(dsa_step(tables, values, 0.6, streams).change[0])
                       for _ in range(10_000))
         assert changes / 10_000 == pytest.approx(0.6, abs=0.02)
 
@@ -168,22 +164,22 @@ class TestDsaStep:
 class TestDsauStep:
     def test_moves_when_estimate_drops(self):
         values = arr(1, 1, 3)
-        res = dsau_step(tables_for(), values, arr(0, 0, 2), mask(3, {1}, {1}, {3}),
-                        rngs(3), scripted={0: 1, 1: 1, 2: 1})
+        res = dsau_step(tables_for(), values, mask(3, {1}, {1}, {3}), rngs(3),
+                        scripted={0: 1, 1: 1, 2: 1})
         assert res.change[2] and adopted(res, values)[2] == 1
         assert res.est_current[2] == pytest.approx(240.0)
         assert res.est_next[2] == pytest.approx(225.0)
 
     def test_keeps_when_estimate_rises(self):
-        res = dsau_step(tables_for(), arr(1, 1, 3), arr(0, 0, 2), mask(3, {1}, {1}, {3}),
-                        rngs(3), scripted={0: 2, 1: 1, 2: 3})
+        res = dsau_step(tables_for(), arr(1, 1, 3), mask(3, {1}, {1}, {3}), rngs(3),
+                        scripted={0: 2, 1: 1, 2: 3})
         assert not res.change[0]
         assert res.est_next[0] == pytest.approx(250.0)
 
     def test_already_revealed_candidate_keeps(self):
         # the revealed set cannot grow, so the estimate cannot drop
-        res = dsau_step(tables_for(), arr(1, 1, 1), arr(0, 0, 0),
-                        mask(3, {1, 2}, {1}, {1}), rngs(3), scripted={0: 2, 1: 1, 2: 1})
+        res = dsau_step(tables_for(), arr(1, 1, 1), mask(3, {1, 2}, {1}, {1}), rngs(3),
+                        scripted={0: 2, 1: 1, 2: 1})
         assert not res.change[0]
         assert res.est_current[0] == res.est_next[0]
 
@@ -195,14 +191,14 @@ class TestDsauStep:
             unary=({1: 9.0, 2: 0.0}, {}, {}),
             privacy=({1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}),
             global_constraint=GlobalConstraint(penalty=1000.0))
-        values, heard = arr(1, 1, 1), arr(0, 0, 0)   # everyone on value 1
+        values = arr(1, 1, 1)   # everyone on value 1
         revealed = mask(2, {1}, {1}, {1})
         script = {0: 2, 1: 1, 2: 1}
         guarded = tables_for(inst)
-        res = dsau_step(guarded, values, heard, revealed, rngs(3), script)
+        res = dsau_step(guarded, values, revealed, rngs(3), script)
         assert not res.change[0]
         pure = tables_for(inst, conflict_guard=False)
-        res = dsau_step(pure, values, heard, revealed, rngs(3), script)
+        res = dsau_step(pure, values, revealed, rngs(3), script)
         assert res.change[0]
 
 
@@ -247,31 +243,31 @@ def agents_on_two_values(n=2):
         global_constraint=GlobalConstraint(penalty=100.0))
 
 
-def offer_round(values, heard, revealed=None, gate_estimates=False):
-    """Agent 0 on value values[0], the others heard on `heard`."""
+def offer_round(values, revealed=None, gate_estimates=False):
+    """One offer round of two agents on `values`."""
     tables = tables_for(agents_on_two_values())
     state = new_breakout_state(values)
     if revealed is None:
         revealed = mask(2, *({v} for v in values.tolist()))
-    res = dbo_send_improve(state, tables, values, heard, revealed, gate_estimates)
+    res = dbo_send_improve(state, tables, values, revealed, gate_estimates)
     return tables, state, res
 
 
 class TestBreakout:
     def test_consistent_when_eval_zero(self):
-        _, state, res = offer_round(arr(1, 1), arr(0, 0))
+        _, state, res = offer_round(arr(1, 1))
         assert state.consistent[0] and res.est_current[0] == 0.0
         assert state.offers[0] == 0.0
 
     def test_improvement_equals_removed_pair_penalty(self):
-        tables, state, res = offer_round(arr(1, 2), arr(0, 1))
+        tables, state, res = offer_round(arr(1, 2))
         assert state.offers[0] == pytest.approx(tables.w_unit)
         assert state.new_values[0] == 2 and state.offers[0] > 0
         assert res.candidate[0] == 2
 
     def test_estimate_gate_blocks_offer(self):
         # revealing value 2 adds privacy 1 with no unary gain: gate shut
-        _, state, _ = offer_round(arr(1, 2), arr(0, 1), revealed=mask(2, {1}, {2}),
+        _, state, _ = offer_round(arr(1, 2), revealed=mask(2, {1}, {2}),
                                   gate_estimates=True)
         assert state.offers[0] == 0.0
         assert state.new_values[0] == 1
@@ -283,7 +279,7 @@ class TestBreakout:
         state = new_breakout_state(values)
         state.offers = np.array([0.0, 0.0, 5.0, 0.0, 0.0, 5.0])
         state.new_values = arr(1, 1, 2, 1, 1, 2)
-        res, _ = dbo_resolve(state, tables, values, arr(0, 0, 0, 0, 0, 0))
+        res, _ = dbo_resolve(state, tables, values)
         assert res.change[2]
         assert not res.change[5]
 
@@ -291,7 +287,7 @@ class TestBreakout:
         tables = tables_for(agents_on_two_values())
         values = arr(1, 2)
         state = new_breakout_state(values)    # inconsistent, nobody offers
-        res, increments = dbo_resolve(state, tables, values, arr(0, 1))
+        res, increments = dbo_resolve(state, tables, values)
         assert not res.change.any()
         raised = list(zip(*(k.tolist() for k in np.unravel_index(increments, (2, 2, 2, 2)))))
         # (agent, neighbor, neighbor_code, own_code)
@@ -306,7 +302,7 @@ class TestBreakout:
         state = new_breakout_state(values)
         state.offers = np.array([1.0, 0.0])
         state.new_values = arr(2, 2)
-        res, _ = dbo_resolve(state, tables, values, arr(0, 1))
+        res, _ = dbo_resolve(state, tables, values)
         assert res.change[0]
 
     def test_weights_accumulate_per_entry(self):
