@@ -106,15 +106,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solver_params(args) -> engine.SolverParams:
-    return engine.SolverParams(p=args.p, divisor_mode=args.divisor,
-                               penalty=args.penalty, pure_alg2=args.pure_alg2)
-
-
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
+    params = engine.SolverParams(p=args.p, divisor_mode=args.divisor,
+                                 penalty=args.penalty, pure_alg2=args.pure_alg2)
     try:
-        outcome, traces = engine.run(inst, args.algo, _solver_params(args),
+        outcome, traces = engine.run(inst, args.algo, params,
                                      seed=args.seed, round_budget=args.rounds)
     except ValueError as e:
         raise CommandError(str(e)) from e
@@ -134,9 +131,9 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load(args.instance)
     try:
-        result = oracle.exact_optimum_enum(inst)
-    except oracle.SearchSpaceError:
-        result = oracle.exact_optimum_dms(inst)
+        result = oracle.exact_optimum(inst)
+    except ValueError as e:
+        raise CommandError(f"{args.instance}: {e}") from e
     print(f"assignment: {' '.join(str(v) for v in result.assignment)}")
     print(f"cost: {result.cost:.6g}")
     return 0
@@ -157,7 +154,7 @@ def _cmd_sweep(args) -> int:
     csv_path, summary_path = experiments.write_outputs(rows, args.out_dir)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     print(f"wrote {summary_path}")
-    print(experiments.summary_to_text(experiments.aggregate(rows)), end="")
+    print(summary_path.read_text(encoding="utf-8"), end="")
     return 0
 
 

@@ -5,10 +5,9 @@ current values), ``pending`` (bool[n], a value announcement is queued) and
 the `RevealLedger`, whose ``revealed`` mask (bool[n, d]) records the values
 each agent has announced and is the one record that both the privacy
 charges and the revelation-aware estimates read. The breakout solvers add
-a `solvers.BreakoutState`: offers, target values, consistency flags,
-termination counters and the breakout weights, stored sparsely as their
-excess over 1 for the entries actually raised, so their memory follows the
-raised entries rather than n²d².
+a `solvers.BreakoutState`: offers, target values and the breakout
+weights, stored sparsely as their excess over 1 for the entries actually
+raised, so their memory follows the raised entries rather than n²d².
 
 Each round runs two phases:
 
@@ -37,6 +36,7 @@ previous-phase state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -109,29 +109,19 @@ class RevealLedger:
             self.cum[i] += cost
         return charges
 
-    def total(self) -> float:
-        return sum(self.cum)
-
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """Per-round record: agent decisions, reveals and cumulative metrics."""
+    """Per-round record, one entry per agent: the rows of the TSV trace."""
 
     round: int
     actions: tuple[str, ...]
     values: tuple[int, ...]
-    candidates: tuple[int | None, ...]
     revealed: tuple[tuple, ...]
     charged: tuple[float, ...]
     est_current: tuple[float, ...]
     est_next: tuple[float, ...]
     cum_privacy: tuple[float, ...]
-    quality: float          # Σ unary(current) + W when the agents disagree
-    total_privacy: float
-
-    @property
-    def total_cost(self) -> float:
-        return self.quality + self.total_privacy
 
 
 @dataclass(frozen=True)
@@ -193,13 +183,25 @@ def metrics(inst: Instance, ledger: RevealLedger, assignment: Sequence[int],
 QUIET_ROUNDS_TO_STOP = 2
 
 
-def _check_params(params: SolverParams, domains: Sequence[Sequence[int]]) -> None:
+def _check_params(params: SolverParams, tables: solvers.AgentTables) -> None:
     """Reject parameters a run cannot use, naming the field (and the round
     and agent of a scripted value) before the first round starts."""
     if params.divisor_mode not in solvers.DIVISOR_MODES:
         raise ValueError(f"divisor_mode: must be one of {solvers.DIVISOR_MODES}, "
                          f"got {params.divisor_mode!r}")
+    if not 0.0 <= params.p <= 1.0:
+        raise ValueError(f"p: must lie in [0, 1], got {params.p}")
+    if params.penalty is not None and not (math.isfinite(params.penalty)
+                                           and params.penalty > 0):
+        raise ValueError(f"penalty: must be a finite number > 0, got {params.penalty}")
+    domains = tables.domains
     n = len(domains)
+    # A share of 0 makes disagreement free in every evaluation, and the
+    # breakout pair's weight rule (see solvers.dbo_resolve) needs it above 0.
+    if n > 1 and tables.w_unit == 0:
+        field = "global.penalty" if params.penalty is None else "penalty"
+        raise ValueError(f"{field}: the per-pair share W/(n-1) of the "
+                         f"disagreement penalty W is 0 at n={n}")
     if params.initial_values is not None:
         if len(params.initial_values) != n:
             raise ValueError(f"initial_values: expected {n} values, one per agent, "
@@ -234,19 +236,17 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     if violations:
         raise InstanceValidationError(violations)
     params = params or SolverParams()
-    _check_params(params, inst.domains)
-
     n = inst.n
-    rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]
     tables = solvers.stack_contexts([
         build_agent_context(inst, i, penalty=params.penalty,
                             divisor_mode=params.divisor_mode,
                             conflict_guard=not params.pure_alg2)
         for i in range(n)])
+    _check_params(params, tables)
+
+    rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]
     values = (solvers.draw_values(tables, rngs) if params.initial_values is None
               else np.array(params.initial_values, dtype=np.int64))
-    w_total = (float(params.penalty) if params.penalty is not None
-               else inst.penalty_surrogate())
     ledger = RevealLedger(tables)
     pending = np.ones(n, dtype=bool)             # value announcements queued
     breakout = (solvers.new_breakout_state(values) if solver in ("dbo", "dbou")
@@ -294,22 +294,15 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         values = np.where(res.change, res.candidate, values)
         pending |= res.change
 
-        assignment = tuple(values.tolist())
-        quality = sum(tables.unary[np.arange(n), values - 1].tolist())
-        if len(set(assignment)) > 1:
-            quality += w_total
         traces.append(RoundTrace(
             round=rnd,
             actions=tuple("change" if c else "keep" for c in res.change.tolist()),
-            values=assignment,
-            candidates=tuple(res.candidate.tolist()),
+            values=tuple(values.tolist()),
             revealed=tuple(new_entries),
             charged=tuple(charged),
             est_current=tuple(res.est_current.tolist()),
             est_next=tuple(res.est_next.tolist()),
             cum_privacy=tuple(ledger.cum),
-            quality=quality,
-            total_privacy=ledger.total(),
         ))
 
         quiet = quiet + 1 if not (res.change.any() or weights_changed) else 0
@@ -318,7 +311,7 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
 
     outcome = metrics(inst, ledger, tuple(values.tolist()),
                       rounds=rounds_used, messages=messages,
-                      penalty=w_total)
+                      penalty=params.penalty)
     return outcome, traces
 
 

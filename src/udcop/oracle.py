@@ -1,8 +1,9 @@
-"""Exact reference solvers for small instances.
+"""Exact solvers.
 
-Used by the test suite to anchor solver outcomes: a structure-aware
-optimizer for the meeting-scheduling shape and a full enumerator as the
-independent cross-check.
+`exact_optimum` finds the optimum of any instance in O(n*d) from the
+problem's structure; `udcop oracle` prints it. `exact_optimum_dms` is the
+best all-equal assignment, and the full enumerator `exact_optimum_enum`
+is the independent cross-check for small instances.
 """
 
 from __future__ import annotations
@@ -29,18 +30,12 @@ class OracleResult:
 def exact_optimum_dms(inst: Instance) -> OracleResult:
     """Optimum over all-equal assignments: argmin_v Σ_i unary_i(v), ties
     toward the smallest value. O(n*d)."""
-    common = set(inst.domains[0])
-    for dom in inst.domains[1:]:
-        common &= set(dom)
+    common = set(inst.domains[0]).intersection(*inst.domains[1:])
     if not common:
         raise ValueError("agents share no common value; no all-equal assignment exists")
-    best_v = None
-    best_cost = math.inf
-    for v in sorted(common):
-        cost = sum(inst.unary_cost(i, v) for i in range(inst.n))
-        if cost < best_cost:
-            best_v, best_cost = v, cost
-    return OracleResult(assignment=(best_v,) * inst.n, cost=best_cost)
+    costs = {v: sum(inst.unary_cost(i, v) for i in range(inst.n)) for v in sorted(common)}
+    best_v = min(costs, key=costs.__getitem__)
+    return OracleResult(assignment=(best_v,) * inst.n, cost=costs[best_v])
 
 
 def exact_optimum_enum(inst: Instance, limit: int = DEFAULT_ENUM_LIMIT) -> OracleResult:
@@ -63,3 +58,24 @@ def exact_optimum_enum(inst: Instance, limit: int = DEFAULT_ENUM_LIMIT) -> Oracl
         if cost < best_cost:
             best, best_cost = assignment, cost
     return OracleResult(assignment=best, cost=best_cost)
+
+
+def exact_optimum(inst: Instance) -> OracleResult:
+    """Optimum of any instance in O(n*d), ties toward the lexicographically
+    smallest assignment; raises ValueError when every assignment costs inf.
+
+    An optimum either agrees, and then `exact_optimum_dms` finds it, or
+    pays the penalty once, and then each agent's cheapest value (smallest
+    on ties) is best. The cheaper of the two wins.
+    """
+    cheapest = tuple(min(sorted(dom), key=lambda v, i=i: inst.unary_cost(i, v))
+                     for i, dom in enumerate(inst.domains))
+    candidates = [OracleResult(cheapest, solution_cost(inst, cheapest))]
+    try:
+        candidates.append(exact_optimum_dms(inst))
+    except ValueError:      # no common value: no assignment agrees
+        pass
+    best = min(candidates, key=lambda c: (c.cost, c.assignment))
+    if best.cost == math.inf:
+        raise ValueError("every assignment costs inf")
+    return best

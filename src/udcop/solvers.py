@@ -294,25 +294,20 @@ class BreakoutState:
 
     offers: np.ndarray          # float64[n]: improvement offered, 0 for none
     new_values: np.ndarray      # int64[n]: value taken if the offer wins
-    consistent: np.ndarray      # bool[n]: evaluation of the current value is 0
-    termination: np.ndarray     # int64[n]: consecutive consistent offers
     weights: ExcessWeights = field(default_factory=ExcessWeights)
 
 
 def new_breakout_state(values: np.ndarray) -> BreakoutState:
-    n = len(values)
-    return BreakoutState(offers=np.zeros(n), new_values=values.copy(),
-                         consistent=np.zeros(n, dtype=bool),
-                         termination=np.zeros(n, dtype=np.int64))
+    return BreakoutState(offers=np.zeros(len(values)), new_values=values.copy())
 
 
 def dbo_send_improve(state: BreakoutState, tables: AgentTables, values: np.ndarray,
                      revealed: np.ndarray, gate_estimates: bool = False) -> StepResult:
     """Compute every agent's best possible improvement and its offer.
 
-    Updates the offers, target values, consistency flags and termination
-    counters on `state`. With `gate_estimates` (dbou) an offer is withdrawn
-    unless revealing the best value strictly lowers the cost estimate.
+    Updates the offers and target values on `state`. With `gate_estimates`
+    (dbou) an offer is withdrawn unless revealing the best value strictly
+    lowers the cost estimate.
     """
     evals = local_eval_all(tables, values, state.weights)
     possible = evals.argmin(axis=1) + 1
@@ -325,8 +320,6 @@ def dbo_send_improve(state: BreakoutState, tables: AgentTables, values: np.ndarr
                   < _estimate(tables, revealed))
     state.offers = np.where(offer, improvement, 0.0)
     state.new_values = np.where(offer, possible, values)
-    state.consistent = current == 0.0
-    state.termination = np.where(state.consistent, state.termination + 1, 0)
     return StepResult(np.zeros(len(values), dtype=bool), possible, current, best)
 
 
@@ -336,8 +329,10 @@ def dbo_resolve(state: BreakoutState, tables: AgentTables,
 
     Every agent sees every offer, so the single mover is the first agent
     with the greatest offer (ties to the smallest id), if that offer is
-    positive. When no offer is positive, every inconsistent agent raises by
-    1 the weight of each pair it currently violates with another agent.
+    positive. When no offer is positive, every agent raises by 1 the weight
+    of each pair it currently violates with another agent. (DBA's gate,
+    "only agents with a nonzero evaluation", changes nothing: with a
+    per-pair penalty above 0 an evaluation of 0 means no violated pair.)
 
     Returns the step result and the raised entries as weight keys; apply
     them with :func:`apply_weight_increments`.
@@ -350,8 +345,7 @@ def dbo_resolve(state: BreakoutState, tables: AgentTables,
         change[mover] = True
     else:
         codes = values - 1
-        violated = (~state.consistent)[:, None] & (codes != codes[:, None])
-        agent, neighbor = np.nonzero(violated)
+        agent, neighbor = np.nonzero(codes != codes[:, None])
         increments = kernels.weight_keys(n, d, agent, neighbor, codes[neighbor], codes[agent])
     return StepResult(change, state.new_values, state.offers, state.offers), increments
 

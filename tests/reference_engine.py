@@ -3,9 +3,12 @@
 Every agent keeps its own state object, evaluates its own neighborhood one
 neighbor at a time from the values it has heard and, for the breakout pair,
 owns a dense int64[n, d, d] weight array. Privacy is charged from per-agent
-sets of revealed entries (values, or ``c<v>`` constraint ids). The logic follows the protocol step by step, so it is slow
-but easy to check by eye; tests compare `udcop.engine.run` against
-`run_reference` for identical outcomes and traces.
+sets of revealed entries (values, or ``c<v>`` constraint ids). The logic
+follows the protocol step by step, so it is slow but easy to check by eye;
+tests compare `udcop.engine.run` against `run_reference` for identical
+outcomes and traces. Unlike the engine, it keeps DBA's rule that only an
+agent whose evaluation is nonzero (not ``consistent``) raises weights, so
+the comparison also checks that this rule never changes a run.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ class SetLedger:
         cost = float(self.inst.privacy[agent].get(entry, 0.0)) if self.inst.privacy else 0.0
         self.cum[agent] += cost
         return cost
-
-    def total(self) -> float:
-        return sum(self.cum)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ class Agent:
     my_improve: float = 0.0
     new_value: int = 0
     consistent: bool = False
-    termination_counter: int = 0
 
     def draw(self) -> int:
         dom = self.ctx.domain_values
@@ -153,7 +152,6 @@ def dbo_offer(a: Agent, ids, vals, gated):
     if gate_open and improvement > 0:
         a.my_improve, a.new_value = improvement, possible
     a.consistent = current == 0.0
-    a.termination_counter = a.termination_counter + 1 if a.consistent else 0
     return False, possible, current, evals[possible - 1]
 
 
@@ -191,8 +189,6 @@ def run_reference(inst, solver, params, seed=0, round_budget=100):
         agents.append(Agent(ctx, rng, value))
         if breakout:
             agents[i].weights = np.ones((n, inst.d, inst.d), dtype=np.int64)
-    w_total = (float(params.penalty) if params.penalty is not None
-               else inst.penalty_surrogate())
     ledger = SetLedger(inst)
     heard = [-1] * n
     traces, messages, quiet, rounds = [], 0, 0, 0
@@ -238,29 +234,22 @@ def run_reference(inst, solver, params, seed=0, round_budget=100):
             if change:
                 a.value = cand
                 a.pending_send = True
-        assignment = tuple(a.value for a in agents)
-        quality = sum(inst.unary_cost(i, v) for i, v in enumerate(assignment))
-        if len(set(assignment)) > 1:
-            quality += w_total
         traces.append(RoundTrace(
             round=rnd,
             actions=tuple("change" if r[0] else "keep" for r in results),
-            values=assignment,
-            candidates=tuple(r[1] for r in results),
+            values=tuple(a.value for a in agents),
             revealed=tuple(new_entries),
             charged=tuple(charged),
             est_current=tuple(r[2] for r in results),
             est_next=tuple(r[3] for r in results),
             cum_privacy=tuple(float(c) for c in ledger.cum),
-            quality=quality,
-            total_privacy=ledger.total(),
         ))
         any_change = any(r[0] for r in results)
         quiet = quiet + 1 if not (any_change or any_weight) else 0
         if quiet >= QUIET_ROUNDS_TO_STOP:
             break
     outcome = metrics(inst, ledger, tuple(a.value for a in agents),
-                      rounds=rounds, messages=messages, penalty=w_total)
+                      rounds=rounds, messages=messages, penalty=params.penalty)
     return outcome, traces
 
 

@@ -59,6 +59,15 @@ def test_malformed_domain_is_exit_2(tmp_path, capsys):
     assert "domains[0]" in capsys.readouterr().err
 
 
+def test_bad_penalty_is_exit_2(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "3", "--values", "3", "--density", "0.5",
+          "--seed", "1", "--out", str(inst_path)])
+    code = main(["solve", "--in", str(inst_path), "--algo", "dsa", "--penalty", "nan"])
+    assert code == 2
+    assert "penalty: must be a finite number > 0, got nan" in capsys.readouterr().err
+
+
 def test_usage_error_is_exit_1(capsys):
     assert main(["solve", "--algo", "dsa"]) == 1
     assert main(["frobnicate"]) == 1
@@ -73,6 +82,34 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", "--in", str(inst_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("assignment:") and "cost:" in out
+
+
+def test_oracle_pays_a_finite_penalty_when_cheaper(tmp_path, capsys):
+    # too many assignments to enumerate; agreeing costs 5, while each
+    # agent on its cheapest value pays only the penalty 1
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "10", "--values", "10", "--density", "0.3",
+          "--seed", "7", "--out", str(inst_path)])
+    doc = json.loads(inst_path.read_text())
+    doc["global"]["penalty"] = 1
+    inst_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["oracle", "--in", str(inst_path)]) == 0
+    out = capsys.readouterr().out
+    inst = load_instance(inst_path)
+    cheapest = [min(sorted(dom), key=lambda v, i=i: inst.unary_cost(i, v))
+                for i, dom in enumerate(inst.domains)]
+    assert all(inst.unary_cost(i, v) == 0.0 for i, v in enumerate(cheapest))
+    assert out == f"assignment: {' '.join(map(str, cheapest))}\ncost: 1\n"
+
+
+def test_oracle_without_finite_assignment_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "apart.json"
+    bad.write_text(json.dumps({"kind": "dcop", "n": 2, "d": 2,
+                               "domains": [[1], [2]], "unary": [{}, {}],
+                               "global": {"type": "all_equal", "penalty": "inf"}}))
+    assert main(["oracle", "--in", str(bad)]) == 2
+    assert "every assignment costs inf" in capsys.readouterr().err
 
 
 def test_trace_example_dsau(capsys):
@@ -99,17 +136,24 @@ def test_sweep_command(tmp_path, capsys):
                  "--seed", "11", "--rounds", "20", "--out-dir", str(out_dir)])
     assert code == 0
     assert (out_dir / "sweep.csv").exists()
-    assert (out_dir / "summary.txt").exists()
-    assert "Average solution quality" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Average solution quality" in out
+    assert out.endswith((out_dir / "summary.txt").read_text())     # printed as written
 
 
 def test_import_does_not_load_scipy_stats():
-    # only the sweep's confidence intervals need scipy.stats
+    # only the sweep's confidence intervals need scipy, and then only
+    # scipy.special, not the much larger scipy.stats
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, udcop.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+    code = ("import sys, udcop.cli\n"
+            "from udcop.experiments import MetricsRow, aggregate\n"
+            "print('scipy' in sys.modules)\n"
+            "aggregate([MetricsRow('dsa', 0.1, s, s, 1.0, s + 1.0, 4, 5, True)"
+            " for s in (1, 2)])\n"
+            "print('scipy.stats' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

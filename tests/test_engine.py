@@ -143,6 +143,32 @@ class TestRunBasics:
             run(inst, "dsa", SolverParams(initial_values=(2, 2)), seed=0,
                 round_budget=5)
 
+    @pytest.mark.parametrize("solver", SOLVER_KINDS)
+    @pytest.mark.parametrize("params, message", [
+        (SolverParams(penalty=math.nan), r"penalty: must be a finite number > 0, got nan"),
+        (SolverParams(penalty=-5.0), r"penalty: must be a finite number > 0, got -5.0"),
+        (SolverParams(penalty=math.inf), r"penalty: must be a finite number > 0, got inf"),
+        (SolverParams(penalty=0.0), r"penalty: must be a finite number > 0, got 0.0"),
+        (SolverParams(penalty=5e-324), r"^penalty: the per-pair share .* is 0 at n=3"),
+        (SolverParams(p=3.0), r"p: must lie in \[0, 1\], got 3.0"),
+        (SolverParams(p=-0.1), r"p: must lie in \[0, 1\], got -0.1"),
+        (SolverParams(p=math.nan), r"p: must lie in \[0, 1\], got nan"),
+    ])
+    def test_bad_penalty_or_p_rejected(self, solver, params, message):
+        with pytest.raises(ValueError, match=message):
+            run(MEETING, solver, params, seed=0, round_budget=5)
+
+    @pytest.mark.parametrize("solver", SOLVER_KINDS)
+    def test_zero_per_pair_instance_penalty_rejected(self, solver):
+        def agents(n):
+            return Instance(kind="udcop", n=n, d=2, domains=((1, 2),) * n,
+                            unary=({},) * n, privacy=({1: 1.0, 2: 1.0},) * n,
+                            global_constraint=GlobalConstraint(penalty=5e-324))
+        with pytest.raises(ValueError, match=r"global.penalty: the per-pair share "
+                                             r"W/\(n-1\) .* is 0 at n=3"):
+            run(agents(3), solver, SolverParams(), seed=0, round_budget=5)
+        run(agents(1), solver, SolverParams(), seed=0, round_budget=5)   # no pairs
+
     def test_single_agent_run(self):
         inst = Instance(kind="udcop", n=1, d=2, domains=((1, 2),),
                         unary=({1: 5.0, 2: 1.0},), privacy=({1: 1.0, 2: 1.0},),

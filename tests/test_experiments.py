@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 
 from udcop.experiments import (CSV_HEADER, MetricsRow, SweepConfig, aggregate,
@@ -73,6 +75,15 @@ def test_aggregate_single_row():
     cell = summary.cell("dsa", 0.3)
     assert cell.mean_privacy == 2.0 and cell.hw_privacy == 0.0
     assert summary.quality_by_algorithm == {"dsa": 1.0}
+
+
+def test_half_width_is_the_95_percent_t_interval():
+    from scipy import stats
+    rows = [MetricsRow("dsa", 0.3, k, x, 1.0, x + 1.0, 5, 40, True)
+            for k, x in enumerate((1.0, 2.0, 4.0, 8.5))]
+    cell = aggregate(rows).cell("dsa", 0.3)
+    sd = statistics.stdev([1.0, 2.0, 4.0, 8.5])
+    assert cell.hw_privacy == pytest.approx(stats.t.ppf(0.975, 3) * sd / 2.0, rel=1e-12)
 
 
 def test_aggregate_mean_identity(small_rows):

@@ -2,10 +2,13 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udcop.generator import GenConfig, generate
 from udcop.model import GlobalConstraint, Instance, solution_cost
-from udcop.oracle import SearchSpaceError, exact_optimum_dms, exact_optimum_enum
+from udcop.oracle import (SearchSpaceError, exact_optimum, exact_optimum_dms,
+                          exact_optimum_enum)
 from udcop.presets import three_student_meeting
 
 
@@ -75,3 +78,29 @@ def test_no_common_value_rejected():
     # the enumerator still works, paying the penalty
     res = exact_optimum_enum(inst)
     assert math.isinf(res.cost)
+
+
+@st.composite
+def small_instances(draw):
+    """n, d ≤ 4, restricted domains, costs including 0 and inf, finite and
+    infinite penalties."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    domains = tuple(tuple(sorted(draw(st.sets(st.integers(1, d), min_size=1))))
+                    for _ in range(n))
+    costs = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.0, math.inf])
+    unary = tuple(draw(st.dictionaries(st.sampled_from(dom), costs)) for dom in domains)
+    penalty = draw(st.sampled_from([0.5, 1.0, 2.5, 7.0, math.inf]))
+    return Instance(kind="dcop", n=n, d=d, domains=domains, unary=unary, privacy=(),
+                    global_constraint=GlobalConstraint(penalty=penalty))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=small_instances())
+def test_exact_optimum_matches_enumeration(inst):
+    enum = exact_optimum_enum(inst)
+    if math.isinf(enum.cost):
+        with pytest.raises(ValueError, match="every assignment costs inf"):
+            exact_optimum(inst)
+    else:
+        assert exact_optimum(inst) == enum

@@ -255,9 +255,12 @@ def offer_round(values, revealed=None, gate_estimates=False):
 
 class TestBreakout:
     def test_consistent_when_eval_zero(self):
-        _, state, res = offer_round(arr(1, 1))
-        assert state.consistent[0] and res.est_current[0] == 0.0
+        tables, state, res = offer_round(arr(1, 1))
+        assert res.est_current[0] == 0.0
         assert state.offers[0] == 0.0
+        # agreeing agents violate no pair, so nobody raises a weight
+        res, increments = dbo_resolve(state, tables, arr(1, 1))
+        assert not res.change.any() and increments.size == 0
 
     def test_improvement_equals_removed_pair_penalty(self):
         tables, state, res = offer_round(arr(1, 2))
@@ -286,7 +289,7 @@ class TestBreakout:
     def test_quasi_local_minimum_raises_weights(self):
         tables = tables_for(agents_on_two_values())
         values = arr(1, 2)
-        state = new_breakout_state(values)    # inconsistent, nobody offers
+        state = new_breakout_state(values)    # disagreeing, nobody offers
         res, increments = dbo_resolve(state, tables, values)
         assert not res.change.any()
         raised = list(zip(*(k.tolist() for k in np.unravel_index(increments, (2, 2, 2, 2)))))
