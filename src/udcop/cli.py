@@ -1,13 +1,12 @@
 """Command-line front end: gen / solve / oracle / sweep / trace-example.
 
-Exit codes: 0 success, 1 usage error, 2 validation or run error.
+Exit codes: 0 success, 1 usage error, 2 validation, run or file error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from udcop import engine, experiments, oracle, presets
 from udcop.engine import format_float
@@ -31,14 +30,16 @@ def _build_parser() -> _Parser:
                      description="Privacy-aware distributed constraint "
                                  "optimization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    solver_defaults = engine.SolverParams()
+    sweep_defaults = experiments.SweepConfig()
 
     gen = sub.add_parser("gen", help="generate a meeting-scheduling instance")
     gen.add_argument("--agents", type=int, required=True)
     gen.add_argument("--values", type=int, required=True)
     gen.add_argument("--density", type=float, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--cost-max", type=int, default=9)
-    gen.add_argument("--privacy-max", type=int, default=9)
+    gen.add_argument("--cost-max", type=int, default=GenConfig.cost_max)
+    gen.add_argument("--privacy-max", type=int, default=GenConfig.privacy_max)
     gen.add_argument("--kind", choices=("udcop", "udcoppc"), default="udcop")
     gen.add_argument("--out", required=True)
 
@@ -46,11 +47,11 @@ def _build_parser() -> _Parser:
     solve.add_argument("--in", dest="instance", required=True)
     solve.add_argument("--algo", choices=SOLVER_KINDS, required=True)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--rounds", type=int, default=100)
-    solve.add_argument("--p", type=float, default=0.6,
+    solve.add_argument("--rounds", type=int, default=engine.DEFAULT_ROUND_BUDGET)
+    solve.add_argument("--p", type=float, default=solver_defaults.p,
                        help="activation probability for dsa")
     solve.add_argument("--divisor", choices=DIVISOR_MODES,
-                       default="revealed")
+                       default=solver_defaults.divisor_mode)
     solve.add_argument("--penalty", type=float, default=None,
                        help="finite disagreement penalty W for local search")
     solve.add_argument("--pure-alg2", action="store_true",
@@ -62,17 +63,17 @@ def _build_parser() -> _Parser:
     orc.add_argument("--in", dest="instance", required=True)
 
     sweep = sub.add_parser("sweep", help="run the density/algorithm sweep")
-    sweep.add_argument("--densities", default="0.1,0.2,0.3,0.4,0.5")
-    sweep.add_argument("--instances", type=int, default=50)
-    sweep.add_argument("--algos", default=",".join(experiments.DEFAULT_ALGORITHMS))
-    sweep.add_argument("--agents", type=int, default=10)
-    sweep.add_argument("--values", type=int, default=10)
-    sweep.add_argument("--seed", type=int, default=experiments.DEFAULT_MASTER_SEED)
-    sweep.add_argument("--rounds", type=int, default=100)
-    sweep.add_argument("--p", type=float,
-                       default=experiments.DEFAULT_SWEEP_SOLVER_PARAMS.p)
+    sweep.add_argument("--densities",
+                       default=",".join(map(str, sweep_defaults.densities)))
+    sweep.add_argument("--instances", type=int, default=sweep_defaults.instances_per_cell)
+    sweep.add_argument("--algos", default=",".join(sweep_defaults.algorithms))
+    sweep.add_argument("--agents", type=int, default=sweep_defaults.n)
+    sweep.add_argument("--values", type=int, default=sweep_defaults.d)
+    sweep.add_argument("--seed", type=int, default=sweep_defaults.master_seed)
+    sweep.add_argument("--rounds", type=int, default=sweep_defaults.round_budget)
+    sweep.add_argument("--p", type=float, default=sweep_defaults.solver_params.p)
     sweep.add_argument("--penalty", type=float,
-                       default=experiments.DEFAULT_SWEEP_SOLVER_PARAMS.penalty)
+                       default=sweep_defaults.solver_params.penalty)
     sweep.add_argument("--out-dir", required=True)
 
     trace = sub.add_parser("trace-example",
@@ -83,11 +84,8 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise CommandError(f"instance file not found: {path}")
     try:
-        return load_instance(p)
+        return load_instance(path)
     except ValueError as e:
         raise CommandError(f"{path}: {e}") from e
 
@@ -209,8 +207,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except CommandError as e:
-        print(f"udcop: error: {e}", file=sys.stderr)
-        return 2
+        message = str(e)
+    except OSError as e:        # a file or directory that cannot be used
+        message = f"{e.filename}: {e.strerror}"
+    print(f"udcop: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -76,15 +76,14 @@ class RevealLedger:
     `revealed[i, v - 1]` marks that agent i has announced value v; `cum[i]`
     is the privacy agent i has paid so far. A first announcement of v costs
     `tables.privacy[i, v - 1]` (the price of the value, or of constraint id
-    ``c<v>`` for kind ``udcoppc``); a repeat costs nothing, so every
-    (agent, entry) pair is charged at most once.
+    ``c<v>`` for kind ``udcoppc``: both are keyed by v); a repeat costs
+    nothing, so every (agent, value) pair is charged at most once. Only
+    values inside the agent's domain (`tables.in_domain`) can be recorded.
     """
 
     def __init__(self, tables: solvers.AgentTables):
         self._privacy = tables.privacy
-        # eval_unary equals unary on every domain value (+inf costs
-        # included) and is +inf where unary is 0 outside the domain
-        self._in_domain = tables.eval_unary == tables.unary
+        self._in_domain = tables.in_domain
         self.revealed = np.zeros(tables.privacy.shape, dtype=bool)
         self.cum: list[float] = [0.0] * len(tables.privacy)
 
@@ -159,7 +158,7 @@ def metrics(inst: Instance, ledger: RevealLedger, assignment: Sequence[int],
     per_privacy = tuple(float(c) for c in ledger.cum)
     per_unary = tuple(inst.unary_cost(i, v) for i, v in enumerate(assignment))
     satisfied = len(set(assignment)) <= 1
-    w_total = float(penalty) if penalty is not None else inst.penalty_surrogate()
+    w_total = inst.finite_penalty(penalty)
     privacy_mean = sum(per_privacy) / n
     quality_mean = sum(per_unary) / n
     return Outcome(
@@ -181,6 +180,7 @@ def metrics(inst: Instance, ledger: RevealLedger, assignment: Sequence[int],
 # ---------------------------------------------------------------------------
 
 QUIET_ROUNDS_TO_STOP = 2
+DEFAULT_ROUND_BUDGET = 100
 
 
 def _check_params(params: SolverParams, tables: solvers.AgentTables) -> None:
@@ -222,7 +222,7 @@ def _check_params(params: SolverParams, tables: solvers.AgentTables) -> None:
 
 
 def run(inst: Instance, solver: str, params: SolverParams | None = None,
-        seed: int = 0, round_budget: int = 100
+        seed: int = 0, round_budget: int = DEFAULT_ROUND_BUDGET
         ) -> tuple[Outcome, list[RoundTrace]]:
     """Simulate one solver on one instance; fully deterministic.
 
@@ -237,11 +237,9 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         raise InstanceValidationError(violations)
     params = params or SolverParams()
     n = inst.n
-    tables = solvers.stack_contexts([
-        build_agent_context(inst, i, penalty=params.penalty,
-                            divisor_mode=params.divisor_mode,
-                            conflict_guard=not params.pure_alg2)
-        for i in range(n)])
+    tables = solvers.stack_contexts([build_agent_context(inst, i) for i in range(n)],
+                                    inst.finite_penalty(params.penalty),
+                                    params.divisor_mode, not params.pure_alg2)
     _check_params(params, tables)
 
     rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from udcop.engine import SolverParams, format_float, run
+from udcop.engine import DEFAULT_ROUND_BUDGET, SolverParams, format_float, run
 from udcop.generator import GenConfig, generate
 from udcop.rng import derive_seed
 
@@ -45,7 +45,7 @@ class SweepConfig:
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
     solver_params: SolverParams = field(default_factory=lambda: DEFAULT_SWEEP_SOLVER_PARAMS)
     master_seed: int = DEFAULT_MASTER_SEED
-    round_budget: int = 100
+    round_budget: int = DEFAULT_ROUND_BUDGET
 
 
 @dataclass(frozen=True)

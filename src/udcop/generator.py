@@ -64,17 +64,11 @@ def generate(cfg: GenConfig) -> Instance:
     for agent in range(cfg.n):
         rng = agent_stream(cfg.seed, STREAM_GENERATION, agent)
         constrained = np.sort(rng.choice(cfg.d, size=k, replace=False)) + 1
-        table = {int(v): float(rng.integers(0, cfg.cost_max + 1))
-                 for v in constrained}
-        if cfg.kind == "udcoppc":
-            reveal = {f"c{v}": float(rng.integers(0, cfg.privacy_max + 1))
-                      for v in range(1, cfg.d + 1)}
-        else:
-            reveal = {v: float(rng.integers(0, cfg.privacy_max + 1))
-                      for v in range(1, cfg.d + 1)}
+        unary.append({int(v): float(rng.integers(0, cfg.cost_max + 1))
+                      for v in constrained})
+        privacy.append({v: float(rng.integers(0, cfg.privacy_max + 1))
+                        for v in range(1, cfg.d + 1)})
         domains.append(tuple(range(1, cfg.d + 1)))
-        unary.append(table)
-        privacy.append(reveal)
     return Instance(
         kind=cfg.kind,
         n=cfg.n,

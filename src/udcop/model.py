@@ -8,11 +8,15 @@ with a positive (possibly infinite) violation penalty.
 Three problem kinds share this shape:
 
 * ``dcop``    -- costs only, no privacy tables.
-* ``udcop``   -- privacy costs keyed by domain value: the price of first
+* ``udcop``   -- a privacy cost per domain value: the price of first
   proposing that value to the neighbors.
-* ``udcoppc`` -- privacy costs keyed by constraint id ``c<v>`` (the unary
-  cost entry for value v): the price of exposing that constraint's weight.
+* ``udcoppc`` -- a privacy cost per constraint id ``c<v>`` (the unary cost
+  entry for value v): the price of exposing that constraint's weight.
   The shared all-equal constraint is public and never charged.
+
+In memory every table is keyed by the value it prices, for all three
+kinds; the spelling ``c<v>`` exists only in instance files and trace
+labels (see `instance_to_json` and `Instance.reveal_entry`).
 """
 
 from __future__ import annotations
@@ -80,10 +84,14 @@ class Instance:
         """Privacy cost of the revelation triggered by proposing `value`."""
         if not self.privacy:
             return 0.0
-        return float(self.privacy[agent].get(self.reveal_entry(agent, value), 0.0))
+        return float(self.privacy[agent].get(value, 0.0))
 
-    def penalty_surrogate(self) -> float:
-        """Finite penalty used by solvers when the true penalty is infinite."""
+    def finite_penalty(self, override: float | None = None) -> float:
+        """The finite disagreement penalty W of local search and metrics:
+        `override` when given, else the instance penalty if finite, else
+        DEFAULT_PENALTY_SURROGATE."""
+        if override is not None:
+            return float(override)
         p = self.global_constraint.penalty
         return float(p) if math.isfinite(p) else DEFAULT_PENALTY_SURROGATE
 
@@ -114,35 +122,21 @@ def validate_instance(inst: Instance) -> list[str]:
 
     if len(inst.unary) != inst.n:
         out.append(f"unary: expected {inst.n} tables, got {len(inst.unary)}")
-    for i, table in enumerate(inst.unary[: inst.n]):
-        dom = set(inst.domains[i]) if i < len(inst.domains) else set()
-        extra = [v for v in table if v not in dom]
-        if extra:
-            out.append(f"unary[{i}]: keys must lie in the agent's domain, got {extra}")
-        neg = {v: c for v, c in table.items() if not c >= 0}   # NaN too
-        if neg:
-            out.append(f"unary[{i}]: costs ≥ 0 required, got {neg}")
-
     if inst.kind == "dcop":
         if any(table for table in inst.privacy):
             out.append("privacy: must be empty for kind=dcop")
-    else:
-        if len(inst.privacy) != inst.n:
-            out.append("privacy: privacy table required (one per agent) for "
-                        f"kind={inst.kind}")
-        for i, table in enumerate(inst.privacy[: inst.n]):
+    elif len(inst.privacy) != inst.n:
+        out.append("privacy: privacy table required (one per agent) for "
+                   f"kind={inst.kind}")
+    for name, tables in (("unary", inst.unary), ("privacy", inst.privacy)):
+        for i, table in enumerate(tables[: inst.n]):
             dom = set(inst.domains[i]) if i < len(inst.domains) else set()
-            for key, cost in table.items():
-                if not cost >= 0:
-                    out.append(f"privacy[{i}]: costs ≥ 0 required, got {key}: {cost}")
-                if inst.kind == "udcop":
-                    if key not in dom:
-                        out.append(f"privacy[{i}]: key {key!r} not in the agent's domain")
-                else:
-                    v = _constraint_id_value(key)
-                    if v is None or v not in dom:
-                        out.append(f"privacy[{i}]: key {key!r} is not a constraint id "
-                                    "of the form c<value> over the agent's domain")
+            extra = [v for v in table if v not in dom]
+            if extra:
+                out.append(f"{name}[{i}]: keys must lie in the agent's domain, got {extra}")
+            neg = {v: c for v, c in table.items() if not c >= 0}   # NaN too
+            if neg:
+                out.append(f"{name}[{i}]: costs ≥ 0 required, got {neg}")
 
     gc = inst.global_constraint
     if gc.type != "all_equal":
@@ -150,15 +144,6 @@ def validate_instance(inst: Instance) -> list[str]:
     if not (gc.penalty > 0):
         out.append(f"global.penalty: penalty > 0 required, got {gc.penalty}")
     return out
-
-
-def _constraint_id_value(key) -> int | None:
-    if not isinstance(key, str) or not key.startswith("c"):
-        return None
-    try:
-        return int(key[1:])
-    except ValueError:
-        return None
 
 
 def solution_cost(inst: Instance, assignment: Sequence[int]) -> float:
@@ -196,19 +181,22 @@ def solution_cost(inst: Instance, assignment: Sequence[int]) -> float:
 #   privacy  array of n maps; keys are values (udcop) or "c<value>" ids
 #            (udcoppc); omitted or empty for dcop
 #   global   {"type": "all_equal", "penalty": number | "inf"}
+#
+# A key is spelled canonically: the value in plain decimal ("3"), after the
+# prefix "c" for a udcoppc privacy key ("c3"). Parsing accepts only that
+# spelling, so no two keys of a map can name the same value.
 # ---------------------------------------------------------------------------
+
+
+def _key_prefix(kind: str, name: str) -> str:
+    return "c" if (kind, name) == ("udcoppc", "privacy") else ""
 
 
 def instance_to_json(inst: Instance) -> str:
     """Canonical JSON text for an instance (stable bytes for equal inputs)."""
-    def unary_map(table: dict) -> dict:
-        return {str(v): float(table[v]) for v in sorted(table)}
-
-    def privacy_map(table: dict) -> dict:
-        if inst.kind == "udcoppc":
-            keys = sorted(table, key=lambda k: _constraint_id_value(k) or 0)
-            return {str(k): float(table[k]) for k in keys}
-        return {str(v): float(table[v]) for v in sorted(table)}
+    def maps(name: str, tables) -> list:
+        prefix = _key_prefix(inst.kind, name)
+        return [{f"{prefix}{v}": float(t[v]) for v in sorted(t)} for t in tables]
 
     penalty = inst.global_constraint.penalty
     doc = {
@@ -216,8 +204,8 @@ def instance_to_json(inst: Instance) -> str:
         "n": inst.n,
         "d": inst.d,
         "domains": [list(dom) for dom in inst.domains],
-        "unary": [unary_map(t) for t in inst.unary],
-        "privacy": [privacy_map(t) for t in inst.privacy],
+        "unary": maps("unary", inst.unary),
+        "privacy": maps("privacy", inst.privacy),
         "global": {
             "type": inst.global_constraint.type,
             "penalty": "inf" if math.isinf(penalty) else float(penalty),
@@ -239,9 +227,19 @@ def _is_number(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads alone keeps the last of two equal keys without a word
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def instance_from_json(text: str) -> Instance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"not valid JSON: {e.msg} (line {e.lineno})") from e
     if not isinstance(doc, dict):
@@ -270,9 +268,10 @@ def instance_from_json(text: str) -> Instance:
             domains.append(tuple(dom))
         return tuple(domains)
 
-    def parse_tables(raw, name: str, key_parser) -> tuple:
+    def parse_tables(raw, name: str) -> tuple:
         if not isinstance(raw, list):
             raise InstanceFormatError(f"field '{name}': expected an array of maps")
+        prefix = _key_prefix(kind, name)
         tables = []
         for i, table in enumerate(raw):
             if not isinstance(table, dict):
@@ -280,9 +279,12 @@ def instance_from_json(text: str) -> Instance:
             parsed = {}
             for k, c in table.items():
                 try:
-                    key = key_parser(k)
-                except ValueError as e:
-                    raise InstanceFormatError(f"field '{name}[{i}]': bad key {k!r}") from e
+                    key = int(k.removeprefix(prefix)) if k.startswith(prefix) else None
+                except ValueError:
+                    key = None
+                if key is None or k != f"{prefix}{key}":
+                    raise InstanceFormatError(f"field '{name}[{i}]': bad key {k!r}, "
+                                              f"expected {prefix}<value>")
                 if not _is_number(c):
                     raise InstanceFormatError(
                         f"field '{name}[{i}]': cost for {k!r} must be a number")
@@ -290,7 +292,6 @@ def instance_from_json(text: str) -> Instance:
             tables.append(parsed)
         return tuple(tables)
 
-    privacy_key = str if kind == "udcoppc" else int
     gc_doc = doc["global"]
     if not isinstance(gc_doc, dict) or "type" not in gc_doc or "penalty" not in gc_doc:
         raise InstanceFormatError("field 'global': expected {type, penalty}")
@@ -307,8 +308,8 @@ def instance_from_json(text: str) -> Instance:
         n=n,
         d=d,
         domains=parse_domains(doc["domains"]),
-        unary=parse_tables(doc["unary"], "unary", int),
-        privacy=parse_tables(doc.get("privacy", []), "privacy", privacy_key),
+        unary=parse_tables(doc["unary"], "unary"),
+        privacy=parse_tables(doc.get("privacy", []), "privacy"),
         global_constraint=GlobalConstraint(penalty=penalty, type=gc_doc["type"]),
     )
     violations = validate_instance(inst)

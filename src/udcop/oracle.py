@@ -43,7 +43,7 @@ def exact_optimum_enum(inst: Instance, limit: int = DEFAULT_ENUM_LIMIT) -> Oracl
 
     Iterates domains in ascending order and keeps the first strict
     improvement, so ties resolve to the lexicographically smallest
-    optimal assignment.
+    optimal assignment; raises ValueError when every assignment costs inf.
     """
     size = 1
     for dom in inst.domains:
@@ -57,6 +57,8 @@ def exact_optimum_enum(inst: Instance, limit: int = DEFAULT_ENUM_LIMIT) -> Oracl
         cost = solution_cost(inst, assignment)
         if cost < best_cost:
             best, best_cost = assignment, cost
+    if best is None:
+        raise ValueError("every assignment costs inf")
     return OracleResult(assignment=best, cost=best_cost)
 
 

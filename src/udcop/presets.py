@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from udcop.engine import SolverParams
-from udcop.model import GlobalConstraint, Instance
+from udcop.model import KINDS, GlobalConstraint, Instance
 
 _TRAVEL = ({1: 70.0, 2: 230.0, 3: 270.0},
            {1: 120.0, 2: 400.0, 3: 190.0},
@@ -23,13 +23,7 @@ _REVEAL = ({1: 80.0, 2: 20.0, 3: 40.0},
 
 def three_student_meeting(kind: str = "udcop") -> Instance:
     """The bundled 3-agent meeting instance, in any of the three kinds."""
-    if kind == "dcop":
-        privacy: tuple = ()
-    elif kind == "udcop":
-        privacy = _REVEAL
-    elif kind == "udcoppc":
-        privacy = tuple({f"c{v}": c for v, c in table.items()} for table in _REVEAL)
-    else:
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     return Instance(
         kind=kind,
@@ -37,7 +31,7 @@ def three_student_meeting(kind: str = "udcop") -> Instance:
         d=3,
         domains=((1, 2, 3),) * 3,
         unary=_TRAVEL,
-        privacy=privacy,
+        privacy=() if kind == "dcop" else _REVEAL,
         global_constraint=GlobalConstraint(penalty=math.inf),
     )
 

@@ -21,6 +21,11 @@ current value has been announced to all of them before a step runs: the
 steps evaluate against ``values - 1``. Random draws come from each agent's
 own stream, in the same order as a per-agent loop would make them. Value
 adoption and reveal accounting are applied by the engine.
+
+The steps read `AgentTables`: `build_agent_context` prepares one agent's
+own rows, and `stack_contexts` stacks them and fixes the run's penalty
+share, divisor mode and conflict guard once, deriving the evaluation
+table and the domain sizes once per run.
 """
 
 from __future__ import annotations
@@ -43,74 +48,62 @@ DIVISOR_MODES = ("revealed", "domain")
 
 @dataclass(frozen=True)
 class AgentContext:
-    """Read-only per-agent slice of an instance, prepared for the round step."""
+    """One agent's own slice of an instance, as rows over the values 1..d."""
 
-    d: int
-    domain_values: tuple[int, ...]
+    domain_values: tuple[int, ...]  # sorted
+    in_domain: np.ndarray           # bool[d]
     unary: np.ndarray               # float64[d], 0 for values without a cost
     privacy: np.ndarray             # float64[d], reveal cost of each value
-    eval_unary: np.ndarray          # float64[d], +inf outside the domain
-    w_unit: float                   # per-conflicting-pair penalty
-    divisor_mode: str = "revealed"
-    conflict_guard: bool = True
 
 
-def build_agent_context(inst: Instance, agent: int, *, penalty: float | None = None,
-                        divisor_mode: str = "revealed",
-                        conflict_guard: bool = True) -> AgentContext:
-    """Prepare an agent's evaluation tables.
-
-    `penalty` overrides the total disagreement penalty W; it is split into
-    W/(n-1) per neighbor pair so a fully conflicting agent pays about W.
-    """
-    w_total = float(penalty) if penalty is not None else inst.penalty_surrogate()
-    w_unit = w_total / (inst.n - 1) if inst.n > 1 else 0.0
+def build_agent_context(inst: Instance, agent: int) -> AgentContext:
+    """Prepare an agent's rows of the unary and privacy tables."""
     dom = tuple(sorted(inst.domains[agent]))
+    in_domain = np.zeros(inst.d, dtype=bool)
     unary = np.zeros(inst.d, dtype=np.float64)
     privacy = np.zeros(inst.d, dtype=np.float64)
-    eval_unary = np.full(inst.d, np.inf, dtype=np.float64)
     for v in dom:
-        unary[v - 1] = eval_unary[v - 1] = inst.unary_cost(agent, v)
+        in_domain[v - 1] = True
+        unary[v - 1] = inst.unary_cost(agent, v)
         privacy[v - 1] = inst.reveal_cost(agent, v)
-    return AgentContext(
-        d=inst.d,
-        domain_values=dom,
-        unary=unary,
-        privacy=privacy,
-        eval_unary=eval_unary,
-        w_unit=w_unit,
-        divisor_mode=divisor_mode,
-        conflict_guard=conflict_guard,
-    )
+    return AgentContext(dom, in_domain, unary, privacy)
 
 
 @dataclass(frozen=True)
 class AgentTables:
-    """The contexts of all agents stacked into (n, d) tables."""
+    """The contexts of all agents stacked into (n, d) tables, with the
+    solver parameters of one run."""
 
     domains: tuple[tuple[int, ...], ...]
     domain_sizes: np.ndarray        # int64[n]
+    in_domain: np.ndarray           # bool[n, d]
     unary: np.ndarray               # float64[n, d]
     privacy: np.ndarray             # float64[n, d]
-    eval_unary: np.ndarray          # float64[n, d]
-    w_unit: float
+    eval_unary: np.ndarray          # float64[n, d], +inf outside the domain
+    w_unit: float                   # per-conflicting-pair penalty W/(n-1)
     divisor_mode: str
     conflict_guard: bool
 
 
-def stack_contexts(contexts: Sequence[AgentContext]) -> AgentTables:
-    """Stack per-agent contexts (agent i at index i) built with one set of
-    solver parameters."""
-    first = contexts[0]
+def stack_contexts(contexts: Sequence[AgentContext], penalty: float,
+                   divisor_mode: str = "revealed",
+                   conflict_guard: bool = True) -> AgentTables:
+    """Stack per-agent contexts (agent i at index i) for a run with the
+    disagreement penalty W = `penalty`, split into W/(n-1) per neighbor
+    pair so that a fully conflicting agent pays about W."""
+    n = len(contexts)
+    in_domain = np.stack([c.in_domain for c in contexts])
+    unary = np.stack([c.unary for c in contexts])
     return AgentTables(
         domains=tuple(c.domain_values for c in contexts),
-        domain_sizes=np.array([len(c.domain_values) for c in contexts], dtype=np.int64),
-        unary=np.stack([c.unary for c in contexts]),
+        domain_sizes=in_domain.sum(axis=1),
+        in_domain=in_domain,
+        unary=unary,
         privacy=np.stack([c.privacy for c in contexts]),
-        eval_unary=np.stack([c.eval_unary for c in contexts]),
-        w_unit=first.w_unit,
-        divisor_mode=first.divisor_mode,
-        conflict_guard=first.conflict_guard,
+        eval_unary=np.where(in_domain, unary, np.inf),
+        w_unit=penalty / (n - 1) if n > 1 else 0.0,
+        divisor_mode=divisor_mode,
+        conflict_guard=conflict_guard,
     )
 
 

@@ -3,8 +3,9 @@
 Every agent keeps its own state object, evaluates its own neighborhood one
 neighbor at a time from the values it has heard and, for the breakout pair,
 owns a dense int64[n, d, d] weight array. Privacy is charged from per-agent
-sets of revealed entries (values, or ``c<v>`` constraint ids). The logic
-follows the protocol step by step, so it is slow but easy to check by eye;
+sets of revealed values (every privacy table is keyed by value; the trace
+shows the entry label, ``c<v>`` for kind ``udcoppc``). The logic follows
+the protocol step by step, so it is slow but easy to check by eye;
 tests compare `udcop.engine.run` against `run_reference` for identical
 outcomes and traces. Unlike the engine, it keeps DBA's rule that only an
 agent whose evaluation is nonzero (not ``consistent``) raises weights, so
@@ -22,18 +23,18 @@ from udcop.rng import STREAM_SOLVER, agent_stream
 
 
 class SetLedger:
-    """Once-only charges kept as per-agent sets of revealed entries."""
+    """Once-only charges kept as per-agent sets of revealed values."""
 
     def __init__(self, inst):
         self.inst = inst
         self.entries = [set() for _ in range(inst.n)]
         self.cum = [0.0] * inst.n
 
-    def record(self, agent, entry) -> float:
-        if entry in self.entries[agent]:
+    def record(self, agent, value) -> float:
+        if value in self.entries[agent]:
             return 0.0
-        self.entries[agent].add(entry)
-        cost = float(self.inst.privacy[agent].get(entry, 0.0)) if self.inst.privacy else 0.0
+        self.entries[agent].add(value)
+        cost = self.inst.reveal_cost(agent, value)
         self.cum[agent] += cost
         return cost
 
@@ -53,8 +54,7 @@ class Ctx:
 
 
 def make_ctx(inst, agent, params) -> Ctx:
-    w_total = (float(params.penalty) if params.penalty is not None
-               else inst.penalty_surrogate())
+    w_total = inst.finite_penalty(params.penalty)
     dom = tuple(sorted(inst.domains[agent]))
     eval_unary = np.full(inst.d, np.inf)
     for v in dom:
@@ -200,10 +200,9 @@ def run_reference(inst, solver, params, seed=0, round_budget=100):
         for i, a in enumerate(agents):
             if value_round and a.pending_send:
                 a.pending_send = False
-                entry = inst.reveal_entry(i, a.value)
-                if entry not in ledger.entries[i]:
-                    new_entries[i] = (entry,)
-                charged[i] = ledger.record(i, entry)
+                if a.value not in ledger.entries[i]:
+                    new_entries[i] = (inst.reveal_entry(i, a.value),)
+                charged[i] = ledger.record(i, a.value)
                 a.revealed.add(a.value)
                 senders.append(i)
                 messages += n - 1

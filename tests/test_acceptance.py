@@ -73,7 +73,7 @@ def test_c2_estimate_values():
     ]
     for agent, revealed, expected in cases:
         ctx = solvers.build_agent_context(inst, agent)
-        mask = np.isin(np.arange(1, ctx.d + 1), sorted(revealed))
+        mask = np.isin(np.arange(1, inst.d + 1), sorted(revealed))
         got = solvers.estimate_cost(ctx.unary, ctx.privacy, mask,
                                     len(ctx.domain_values), divisor_mode="revealed")
         assert got == pytest.approx(expected, abs=1e-9), (agent, revealed)

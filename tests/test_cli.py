@@ -4,7 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from udcop.cli import main
+from inspect import signature
+
+from udcop.cli import _build_parser, main
+from udcop.engine import DEFAULT_ROUND_BUDGET, SolverParams, run
+from udcop.experiments import SweepConfig
+from udcop.generator import GenConfig
 from udcop.model import load_instance
 
 
@@ -66,6 +71,61 @@ def test_bad_penalty_is_exit_2(tmp_path, capsys):
     code = main(["solve", "--in", str(inst_path), "--algo", "dsa", "--penalty", "nan"])
     assert code == 2
     assert "penalty: must be a finite number > 0, got nan" in capsys.readouterr().err
+
+
+def test_instance_path_that_is_a_directory_is_exit_2(tmp_path, capsys):
+    code = main(["solve", "--in", str(tmp_path), "--algo", "dsa"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"udcop: error: {tmp_path}: ")
+
+
+def test_unwritable_trace_path_is_exit_2(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "3", "--values", "3", "--density", "0.5",
+          "--seed", "1", "--out", str(inst_path)])
+    trace = tmp_path / "missing" / "t.tsv"
+    code = main(["solve", "--in", str(inst_path), "--algo", "dsa", "--trace", str(trace)])
+    assert code == 2
+    assert capsys.readouterr().err == f"udcop: error: {trace}: No such file or directory\n"
+
+
+def test_unwritable_gen_output_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["gen", "--agents", "3", "--values", "3", "--density", "0.5",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"udcop: error: {out}: No such file or directory\n"
+
+
+def test_sweep_out_dir_that_is_a_file_is_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["sweep", "--densities", "0.2", "--instances", "1", "--algos", "dsa",
+                 "--agents", "3", "--values", "3", "--rounds", "5",
+                 "--out-dir", str(taken)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"udcop: error: {taken}: ")
+
+
+def test_parser_defaults_read_the_dataclass_defaults():
+    parser = _build_parser()
+    gen = parser.parse_args(["gen", "--agents", "1", "--values", "1", "--density", "0",
+                             "--seed", "0", "--out", "x"])
+    assert (gen.cost_max, gen.privacy_max) == (GenConfig.cost_max, GenConfig.privacy_max)
+    solve = parser.parse_args(["solve", "--in", "x", "--algo", "dsa"])
+    params = SolverParams()
+    assert (solve.rounds, solve.p, solve.divisor, solve.penalty, solve.pure_alg2) == \
+        (DEFAULT_ROUND_BUDGET, params.p, params.divisor_mode, params.penalty,
+         params.pure_alg2)
+    sweep = parser.parse_args(["sweep", "--out-dir", "x"])
+    cfg = SweepConfig()
+    assert tuple(float(x) for x in sweep.densities.split(",")) == cfg.densities
+    assert tuple(sweep.algos.split(",")) == cfg.algorithms
+    assert (sweep.instances, sweep.agents, sweep.values, sweep.seed, sweep.rounds) == \
+        (cfg.instances_per_cell, cfg.n, cfg.d, cfg.master_seed, cfg.round_budget)
+    assert (sweep.p, sweep.penalty) == (cfg.solver_params.p, cfg.solver_params.penalty)
+    assert cfg.round_budget == DEFAULT_ROUND_BUDGET
+    assert signature(run).parameters["round_budget"].default == DEFAULT_ROUND_BUDGET
 
 
 def test_usage_error_is_exit_1(capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from reference_engine import run_reference
 from udcop.engine import RevealLedger, SolverParams, format_trace, metrics, run
 from udcop.generator import GenConfig, generate
-from udcop.model import KINDS, GlobalConstraint, Instance, InstanceValidationError
+from udcop.model import (KINDS, GlobalConstraint, Instance, InstanceValidationError,
+                         instance_from_json, instance_to_json)
 from udcop.presets import scripted_meeting_params, three_student_meeting
 from udcop.solvers import SOLVER_KINDS, build_agent_context, stack_contexts
 
@@ -17,7 +18,7 @@ MEETING = three_student_meeting()
 
 def ledger_for(inst):
     return RevealLedger(stack_contexts([build_agent_context(inst, i)
-                                        for i in range(inst.n)]))
+                                        for i in range(inst.n)], inst.finite_penalty()))
 
 
 class TestRevealLedger:
@@ -36,6 +37,7 @@ class TestRevealLedger:
         pc = three_student_meeting("udcoppc")
         ledger = ledger_for(pc)
         assert ledger.record([1], [3]) == [(1, 10.0)]     # charges entry "c3"
+        assert pc.reveal_entry(1, 3) == "c3"
 
     def test_unknown_entry_rejected(self):
         ledger = ledger_for(MEETING)
@@ -323,14 +325,17 @@ def edge_instances(draw):
     values = st.integers(1, d)
     domains = tuple(tuple(sorted(draw(st.sets(values, min_size=1)))) for _ in range(n))
     unary = tuple(draw(st.dictionaries(st.sampled_from(dom), COSTS)) for dom in domains)
-    if kind == "dcop":
-        privacy = ()
-    else:
-        key = (lambda v: f"c{v}") if kind == "udcoppc" else (lambda v: v)
-        privacy = tuple({key(v): draw(COSTS) for v in dom} for dom in domains)
+    privacy = () if kind == "dcop" else tuple({v: draw(COSTS) for v in dom}
+                                              for dom in domains)
     penalty = draw(st.sampled_from([math.inf, 0.5, 8.5, 100.0]))
     return Instance(kind=kind, n=n, d=d, domains=domains, unary=unary, privacy=privacy,
                     global_constraint=GlobalConstraint(penalty=penalty))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=edge_instances())
+def test_instance_file_round_trips(inst):
+    assert instance_from_json(instance_to_json(inst)) == inst
 
 
 class TestMatchesPerAgentReference:

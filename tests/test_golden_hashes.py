@@ -1,4 +1,5 @@
-"""Byte-level regression pins for the sweep CSV and the solver traces.
+"""Byte-level regression pins for the sweep CSV, the solver traces and the
+instance file format.
 
 A refactor that claims identical outputs must keep these hashes. A change
 that alters outputs on purpose updates them and declares the behaviour
@@ -12,6 +13,8 @@ import pytest
 from udcop.engine import SolverParams, format_trace, run
 from udcop.experiments import SweepConfig, rows_to_csv, run_sweep
 from udcop.generator import GenConfig, generate
+from udcop.model import instance_to_json
+from udcop.presets import three_student_meeting
 
 
 def sha256(text: str) -> str:
@@ -43,3 +46,19 @@ def test_solver_trace_is_unchanged(kind, solver):
     inst = generate(GenConfig(n=10, d=10, density=0.3, seed=314, kind=kind))
     _, traces = run(inst, solver, SolverParams(), seed=99, round_budget=50)
     assert sha256(format_trace(traces)) == TRACE_HASHES[kind, solver]
+
+
+INSTANCE_HASHES = {
+    ("meeting", "dcop"): "c54d2ee300067b4d75c2238e057a713fcc96e9888deb933ec2d1cc0fc6f05897",
+    ("meeting", "udcop"): "5bc12bffd87c61560fad81108882b9946daebba9e12556897190e97617872b9d",
+    ("meeting", "udcoppc"): "c522cc6cae826ba3ebca6d6ab9681d5608bf085af1db922c436bea9b2f260e11",
+    ("generated", "udcop"): "6a841f8f6e019e6bde52bac9110848cee18aeb12ee69e054bdd8afded7632a7c",
+    ("generated", "udcoppc"): "b7102993be0c4545f52233354ad1f9e8245deec123e4c518583ed093636be9f9",
+}
+
+
+@pytest.mark.parametrize("source, kind", sorted(INSTANCE_HASHES))
+def test_instance_json_is_unchanged(source, kind):
+    inst = (three_student_meeting(kind) if source == "meeting" else
+            generate(GenConfig(n=10, d=10, density=0.3, seed=314, kind=kind)))
+    assert sha256(instance_to_json(inst)) == INSTANCE_HASHES[source, kind]

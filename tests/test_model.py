@@ -152,8 +152,8 @@ def test_negative_privacy_cost_rejected_on_load():
         instance_from_json(json.dumps(doc))
 
 
-def _meeting_doc_with(path, value):
-    doc = json.loads(instance_to_json(three_student_meeting()))
+def _meeting_doc_with(path, value, kind="udcop"):
+    doc = json.loads(instance_to_json(three_student_meeting(kind)))
     *parents, last = path
     target = doc
     for key in parents:
@@ -162,22 +162,35 @@ def _meeting_doc_with(path, value):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("path, value, error, field", [
-    (("domains", 0), 5, InstanceFormatError, "domains[0]"),
-    (("domains", 1), [1, 1.7, 3], InstanceFormatError, "domains[1]"),
-    (("domains", 2), [1, True], InstanceFormatError, "domains[2]"),
-    (("n",), True, InstanceFormatError, "'n'"),
-    (("unary", 0, "1"), True, InstanceFormatError, "unary[0]"),
-    (("privacy", 1, "2"), False, InstanceFormatError, "privacy[1]"),
-    (("global", "penalty"), True, InstanceFormatError, "global.penalty"),
-    (("unary", 0, "1"), math.nan, InstanceValidationError, "unary[0]"),
-    (("privacy", 2, "3"), math.nan, InstanceValidationError, "privacy[2]"),
+@pytest.mark.parametrize("kind, path, value, error, field", [
+    ("udcop", ("domains", 0), 5, InstanceFormatError, "domains[0]"),
+    ("udcop", ("domains", 1), [1, 1.7, 3], InstanceFormatError, "domains[1]"),
+    ("udcop", ("domains", 2), [1, True], InstanceFormatError, "domains[2]"),
+    ("udcop", ("n",), True, InstanceFormatError, "'n'"),
+    ("udcop", ("unary", 0, "1"), True, InstanceFormatError, "unary[0]"),
+    ("udcop", ("privacy", 1, "2"), False, InstanceFormatError, "privacy[1]"),
+    ("udcop", ("global", "penalty"), True, InstanceFormatError, "global.penalty"),
+    ("udcop", ("unary", 0, "1"), math.nan, InstanceValidationError, "unary[0]"),
+    ("udcop", ("privacy", 2, "3"), math.nan, InstanceValidationError, "privacy[2]"),
+    ("udcoppc", ("privacy", 0, "c01"), 0, InstanceFormatError,
+     "privacy[0]': bad key 'c01'"),
+    ("udcop", ("unary", 0, "01"), 0, InstanceFormatError, "unary[0]': bad key '01'"),
+    ("udcop", ("privacy", 1, " 2"), 5, InstanceFormatError, "privacy[1]': bad key ' 2'"),
+    ("udcoppc", ("privacy", 2, "c"), 1, InstanceFormatError, "privacy[2]': bad key 'c'"),
+    ("udcop", ("unary", 1, "x1"), 1, InstanceFormatError, "unary[1]': bad key 'x1'"),
 ], ids=["domain-not-array", "float-domain-value", "bool-domain-value", "bool-n",
         "bool-unary-cost", "bool-privacy-cost", "bool-penalty", "nan-unary-cost",
-        "nan-privacy-cost"])
-def test_bad_field_value_rejected_on_load(path, value, error, field):
+        "nan-privacy-cost", "key-c01", "key-01", "key-space-2", "key-c", "key-x1"])
+def test_bad_field_value_rejected_on_load(kind, path, value, error, field):
     with pytest.raises(error, match=re.escape(field)):
-        instance_from_json(_meeting_doc_with(path, value))
+        instance_from_json(_meeting_doc_with(path, value, kind))
+
+
+def test_duplicate_key_rejected_on_load():
+    text = instance_to_json(three_student_meeting()).replace(
+        '"1": 70.0', '"1": 70.0, "1": 0.0', 1)
+    with pytest.raises(InstanceFormatError, match="duplicate key '1'"):
+        instance_from_json(text)
 
 
 def test_malformed_json_reports_line():

@@ -75,9 +75,14 @@ def test_no_common_value_rejected():
                     unary=({}, {}), privacy=())
     with pytest.raises(ValueError, match="common value"):
         exact_optimum_dms(inst)
-    # the enumerator still works, paying the penalty
-    res = exact_optimum_enum(inst)
-    assert math.isinf(res.cost)
+
+
+def test_enum_rejects_an_instance_where_every_assignment_costs_inf():
+    inst = Instance(kind="dcop", n=2, d=2, domains=((1,), (2,)),
+                    unary=({}, {}), privacy=(),
+                    global_constraint=GlobalConstraint(penalty=math.inf))
+    with pytest.raises(ValueError, match="every assignment costs inf"):
+        exact_optimum_enum(inst)
 
 
 @st.composite
@@ -98,8 +103,10 @@ def small_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(inst=small_instances())
 def test_exact_optimum_matches_enumeration(inst):
-    enum = exact_optimum_enum(inst)
-    if math.isinf(enum.cost):
+    try:
+        enum = exact_optimum_enum(inst)
+    except ValueError as e:
+        assert str(e) == "every assignment costs inf"
         with pytest.raises(ValueError, match="every assignment costs inf"):
             exact_optimum(inst)
     else:

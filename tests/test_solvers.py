@@ -16,12 +16,13 @@ from udcop.solvers import (ExcessWeights, apply_weight_increments, build_agent_c
 MEETING = three_student_meeting()
 
 
-def ctx_for(agent, **kw):
-    return build_agent_context(MEETING, agent, **kw)
+def ctx_for(agent):
+    return build_agent_context(MEETING, agent)
 
 
-def tables_for(inst=MEETING, **kw):
-    return stack_contexts([build_agent_context(inst, i, **kw) for i in range(inst.n)])
+def tables_for(inst=MEETING, penalty=None, **kw):
+    return stack_contexts([build_agent_context(inst, i) for i in range(inst.n)],
+                          inst.finite_penalty(penalty), **kw)
 
 
 def mask(d, *value_sets):
