@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 validation, run or file error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from udcop import engine, experiments, oracle, presets
@@ -106,15 +107,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    params = engine.SolverParams(p=args.p, divisor_mode=args.divisor,
-                                 penalty=args.penalty, pure_alg2=args.pure_alg2)
     try:
-        outcome, traces = engine.run(inst, args.algo, params,
-                                     seed=args.seed, round_budget=args.rounds)
+        params = engine.SolverParams(p=args.p, divisor_mode=args.divisor,
+                                     penalty=args.penalty, pure_alg2=args.pure_alg2)
+        # opened first: a trace path that cannot be written costs no run
+        with (open(args.trace, "w", encoding="utf-8") if args.trace
+              else contextlib.nullcontext()) as trace_file:
+            outcome, traces = engine.run(inst, args.algo, params,
+                                         seed=args.seed, round_budget=args.rounds)
+            if trace_file:
+                engine.write_trace(traces, trace_file)
     except ValueError as e:
         raise CommandError(str(e)) from e
-    if args.trace:
-        engine.write_trace(traces, args.trace)
     print(f"algorithm: {args.algo}")
     print(f"assignment: {' '.join(str(v) for v in outcome.assignment)}")
     print(f"satisfied: {'true' if outcome.satisfied else 'false'}")

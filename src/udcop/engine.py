@@ -32,19 +32,21 @@ A run stops at the round budget or after two consecutive quiet rounds (no
 value adoption and no weight change). Given (instance, solver, params,
 seed) the full trace is reproducible bit for bit: agents only ever observe
 previous-phase state.
+
+An `Instance` and a `SolverParams` each check themselves when they are
+built; a run checks only how the two fit together (see `_check_params`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
 from udcop import solvers
-from udcop.model import Instance, InstanceValidationError, validate_instance
+from udcop.model import Instance
 from udcop.rng import STREAM_SOLVER, agent_stream
 from udcop.solvers import SOLVER_KINDS, build_agent_context
 
@@ -59,7 +61,8 @@ class SolverParams:
     penalty overrides the finite disagreement penalty W used by local search
     and metrics (defaults to the instance's surrogate). candidate_script maps
     round index (0-based) -> {agent: forced candidate} for the solvers that
-    draw their candidate at random.
+    draw their candidate at random. Construction rejects a divisor_mode, p
+    or penalty that no run can use, naming the field.
     """
 
     p: float = 0.6
@@ -68,6 +71,16 @@ class SolverParams:
     pure_alg2: bool = False
     initial_values: tuple[int, ...] | None = None
     candidate_script: tuple[Mapping[int, int], ...] = ()
+
+    def __post_init__(self):
+        if self.divisor_mode not in solvers.DIVISOR_MODES:
+            raise ValueError(f"divisor_mode: must be one of {solvers.DIVISOR_MODES}, "
+                             f"got {self.divisor_mode!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p: must lie in [0, 1], got {self.p}")
+        if self.penalty is not None and not (math.isfinite(self.penalty)
+                                             and self.penalty > 0):
+            raise ValueError(f"penalty: must be a finite number > 0, got {self.penalty}")
 
 
 class RevealLedger:
@@ -184,16 +197,8 @@ DEFAULT_ROUND_BUDGET = 100
 
 
 def _check_params(params: SolverParams, tables: solvers.AgentTables) -> None:
-    """Reject parameters a run cannot use, naming the field (and the round
-    and agent of a scripted value) before the first round starts."""
-    if params.divisor_mode not in solvers.DIVISOR_MODES:
-        raise ValueError(f"divisor_mode: must be one of {solvers.DIVISOR_MODES}, "
-                         f"got {params.divisor_mode!r}")
-    if not 0.0 <= params.p <= 1.0:
-        raise ValueError(f"p: must lie in [0, 1], got {params.p}")
-    if params.penalty is not None and not (math.isfinite(params.penalty)
-                                           and params.penalty > 0):
-        raise ValueError(f"penalty: must be a finite number > 0, got {params.penalty}")
+    """Reject parameters that do not fit the instance, naming the field (and
+    the round and agent of a scripted value) before the first round starts."""
     domains = tables.domains
     n = len(domains)
     # A share of 0 makes disagreement free in every evaluation, and the
@@ -232,9 +237,6 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_KINDS}")
     if round_budget < 1:
         raise ValueError(f"round_budget ≥ 1 required, got {round_budget}")
-    violations = validate_instance(inst)
-    if violations:
-        raise InstanceValidationError(violations)
     params = params or SolverParams()
     n = inst.n
     tables = solvers.stack_contexts([build_agent_context(inst, i) for i in range(n)],
@@ -342,5 +344,6 @@ def format_trace(traces: Sequence[RoundTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(traces: Sequence[RoundTrace], path) -> None:
-    Path(path).write_text(format_trace(traces), encoding="utf-8")
+def write_trace(traces: Sequence[RoundTrace], out: TextIO) -> None:
+    """Write the TSV trace to an open text file."""
+    out.write(format_trace(traces))

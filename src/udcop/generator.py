@@ -19,12 +19,11 @@ is a pure function of the config: equal configs give byte-identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from udcop.model import GlobalConstraint, Instance
+from udcop.model import Instance
 from udcop.rng import STREAM_GENERATION, agent_stream, round_half_up
 
 
@@ -76,5 +75,4 @@ def generate(cfg: GenConfig) -> Instance:
         domains=tuple(domains),
         unary=tuple(unary),
         privacy=tuple(privacy),
-        global_constraint=GlobalConstraint(penalty=math.inf),
     )

@@ -2,8 +2,8 @@
 
 An instance holds n agents, one variable per agent with a domain drawn from
 {1..d}, a per-agent unary cost table (absent values cost 0), a per-agent
-privacy table pricing revelations, and a single global all-equal constraint
-with a positive (possibly infinite) violation penalty.
+privacy table pricing revelations, and the penalty (> 0, possibly infinite)
+of one global all-equal constraint. An `Instance` checks itself when built.
 
 Three problem kinds share this shape:
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +39,7 @@ class InstanceFormatError(ValueError):
 
 
 class InstanceValidationError(ValueError):
-    """A parsed instance violates model invariants."""
+    """An instance violates model invariants."""
 
     def __init__(self, violations: Sequence[str]):
         super().__init__("invalid instance: " + "; ".join(violations))
@@ -51,16 +51,9 @@ class IncompleteAssignmentError(ValueError):
 
 
 @dataclass(frozen=True)
-class GlobalConstraint:
-    """All-equal constraint over every variable, with violation penalty > 0."""
-
-    penalty: float = math.inf
-    type: str = "all_equal"
-
-
-@dataclass(frozen=True)
 class Instance:
-    """Validated problem instance. Treat as immutable and share freely."""
+    """Problem instance, checked when built: InstanceValidationError lists
+    every violation of `validate_instance`. Treat as immutable, share freely."""
 
     kind: str
     n: int
@@ -68,7 +61,12 @@ class Instance:
     domains: tuple[tuple[int, ...], ...]
     unary: tuple[dict, ...]
     privacy: tuple[dict, ...] = ()
-    global_constraint: GlobalConstraint = field(default_factory=GlobalConstraint)
+    penalty: float = math.inf
+
+    def __post_init__(self):
+        violations = validate_instance(self)
+        if violations:
+            raise InstanceValidationError(violations)
 
     def unary_cost(self, agent: int, value: int) -> float:
         return float(self.unary[agent].get(value, 0.0))
@@ -92,7 +90,7 @@ class Instance:
         DEFAULT_PENALTY_SURROGATE."""
         if override is not None:
             return float(override)
-        p = self.global_constraint.penalty
+        p = self.penalty
         return float(p) if math.isfinite(p) else DEFAULT_PENALTY_SURROGATE
 
 
@@ -138,11 +136,8 @@ def validate_instance(inst: Instance) -> list[str]:
             if neg:
                 out.append(f"{name}[{i}]: costs ≥ 0 required, got {neg}")
 
-    gc = inst.global_constraint
-    if gc.type != "all_equal":
-        out.append(f"global.type: must be 'all_equal', got {gc.type!r}")
-    if not (gc.penalty > 0):
-        out.append(f"global.penalty: penalty > 0 required, got {gc.penalty}")
+    if not (inst.penalty > 0):
+        out.append(f"global.penalty: penalty > 0 required, got {inst.penalty}")
     return out
 
 
@@ -166,7 +161,7 @@ def solution_cost(inst: Instance, assignment: Sequence[int]) -> float:
             equal = False
         total += inst.unary_cost(i, v)
     if not equal:
-        total += inst.global_constraint.penalty
+        total += inst.penalty
     return total
 
 
@@ -198,7 +193,6 @@ def instance_to_json(inst: Instance) -> str:
         prefix = _key_prefix(inst.kind, name)
         return [{f"{prefix}{v}": float(t[v]) for v in sorted(t)} for t in tables]
 
-    penalty = inst.global_constraint.penalty
     doc = {
         "kind": inst.kind,
         "n": inst.n,
@@ -207,8 +201,8 @@ def instance_to_json(inst: Instance) -> str:
         "unary": maps("unary", inst.unary),
         "privacy": maps("privacy", inst.privacy),
         "global": {
-            "type": inst.global_constraint.type,
-            "penalty": "inf" if math.isinf(penalty) else float(penalty),
+            "type": "all_equal",
+            "penalty": "inf" if math.isinf(inst.penalty) else float(inst.penalty),
         },
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -302,20 +296,19 @@ def instance_from_json(text: str) -> Instance:
         penalty = float(raw_penalty)
     else:
         raise InstanceFormatError("field 'global.penalty': expected a number or \"inf\"")
+    if gc_doc["type"] != "all_equal":
+        raise InstanceValidationError(
+            [f"global.type: must be 'all_equal', got {gc_doc['type']!r}"])
 
-    inst = Instance(
+    return Instance(
         kind=kind,
         n=n,
         d=d,
         domains=parse_domains(doc["domains"]),
         unary=parse_tables(doc["unary"], "unary"),
         privacy=parse_tables(doc.get("privacy", []), "privacy"),
-        global_constraint=GlobalConstraint(penalty=penalty, type=gc_doc["type"]),
+        penalty=penalty,
     )
-    violations = validate_instance(inst)
-    if violations:
-        raise InstanceValidationError(violations)
-    return inst
 
 
 def load_instance(path) -> Instance:

@@ -306,12 +306,13 @@ def dbo_send_improve(state: BreakoutState, tables: AgentTables, values: np.ndarr
     possible = evals.argmin(axis=1) + 1
     current = _at(evals, values)
     best = _at(evals, possible)
-    improvement = current - best
-    offer = improvement > 0
+    # best < current, not current - best > 0: for an agent whose every
+    # value costs inf the difference is inf - inf = nan
+    offer = best < current
     if gate_estimates:
         offer &= (_estimate(tables, _also_revealing(revealed, possible))
                   < _estimate(tables, revealed))
-    state.offers = np.where(offer, improvement, 0.0)
+    state.offers = np.subtract(current, best, out=np.zeros(len(values)), where=offer)
     state.new_values = np.where(offer, possible, values)
     return StepResult(np.zeros(len(values), dtype=bool), possible, current, best)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from inspect import signature
 
+from udcop import engine, experiments
 from udcop.cli import _build_parser, main
 from udcop.engine import DEFAULT_ROUND_BUDGET, SolverParams, run
 from udcop.experiments import SweepConfig
@@ -87,6 +88,33 @@ def test_unwritable_trace_path_is_exit_2(tmp_path, capsys):
     code = main(["solve", "--in", str(inst_path), "--algo", "dsa", "--trace", str(trace)])
     assert code == 2
     assert capsys.readouterr().err == f"udcop: error: {trace}: No such file or directory\n"
+
+
+def test_unwritable_trace_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "3", "--values", "3", "--density", "0.5",
+          "--seed", "1", "--out", str(inst_path)])
+    capsys.readouterr()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("engine.run called")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    trace = tmp_path / "missing" / "t.tsv"
+    code = main(["solve", "--in", str(inst_path), "--algo", "dsa", "--trace", str(trace)])
+    assert code == 2
+    assert capsys.readouterr().err == f"udcop: error: {trace}: No such file or directory\n"
+
+
+def test_bad_p_fails_before_the_first_sweep_cell(tmp_path, capsys, monkeypatch):
+    def no_sweep(cfg):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(experiments, "run_sweep", no_sweep)
+    code = main(["sweep", "--p", "3", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "udcop: error: p: must lie in [0, 1], got 3.0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_gen_output_is_exit_2(tmp_path, capsys):

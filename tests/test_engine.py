@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference_engine import run_reference
 from udcop.engine import RevealLedger, SolverParams, format_trace, metrics, run
 from udcop.generator import GenConfig, generate
-from udcop.model import (KINDS, GlobalConstraint, Instance, InstanceValidationError,
+from udcop.model import (KINDS, Instance, InstanceValidationError,
                          instance_from_json, instance_to_json)
 from udcop.presets import scripted_meeting_params, three_student_meeting
 from udcop.solvers import SOLVER_KINDS, build_agent_context, stack_contexts
@@ -94,9 +94,9 @@ class TestRunBasics:
             run(MEETING, "dsa", SolverParams(), seed=0, round_budget=0)
 
     def test_invalid_instance_rejected(self):
-        bad = Instance(kind="udcop", n=0, d=1, domains=(), unary=(), privacy=())
         with pytest.raises(InstanceValidationError):
-            run(bad, "dsa", SolverParams(), seed=0, round_budget=5)
+            run(Instance(kind="udcop", n=0, d=1, domains=(), unary=(), privacy=()),
+                "dsa", SolverParams(), seed=0, round_budget=5)
 
     def test_runs_are_deterministic(self):
         inst = generate(GenConfig(n=8, d=6, density=0.4, seed=11))
@@ -147,25 +147,25 @@ class TestRunBasics:
 
     @pytest.mark.parametrize("solver", SOLVER_KINDS)
     @pytest.mark.parametrize("params, message", [
-        (SolverParams(penalty=math.nan), r"penalty: must be a finite number > 0, got nan"),
-        (SolverParams(penalty=-5.0), r"penalty: must be a finite number > 0, got -5.0"),
-        (SolverParams(penalty=math.inf), r"penalty: must be a finite number > 0, got inf"),
-        (SolverParams(penalty=0.0), r"penalty: must be a finite number > 0, got 0.0"),
-        (SolverParams(penalty=5e-324), r"^penalty: the per-pair share .* is 0 at n=3"),
-        (SolverParams(p=3.0), r"p: must lie in \[0, 1\], got 3.0"),
-        (SolverParams(p=-0.1), r"p: must lie in \[0, 1\], got -0.1"),
-        (SolverParams(p=math.nan), r"p: must lie in \[0, 1\], got nan"),
+        (dict(penalty=math.nan), r"penalty: must be a finite number > 0, got nan"),
+        (dict(penalty=-5.0), r"penalty: must be a finite number > 0, got -5.0"),
+        (dict(penalty=math.inf), r"penalty: must be a finite number > 0, got inf"),
+        (dict(penalty=0.0), r"penalty: must be a finite number > 0, got 0.0"),
+        (dict(penalty=5e-324), r"^penalty: the per-pair share .* is 0 at n=3"),
+        (dict(p=3.0), r"p: must lie in \[0, 1\], got 3.0"),
+        (dict(p=-0.1), r"p: must lie in \[0, 1\], got -0.1"),
+        (dict(p=math.nan), r"p: must lie in \[0, 1\], got nan"),
     ])
     def test_bad_penalty_or_p_rejected(self, solver, params, message):
         with pytest.raises(ValueError, match=message):
-            run(MEETING, solver, params, seed=0, round_budget=5)
+            run(MEETING, solver, SolverParams(**params), seed=0, round_budget=5)
 
     @pytest.mark.parametrize("solver", SOLVER_KINDS)
     def test_zero_per_pair_instance_penalty_rejected(self, solver):
         def agents(n):
             return Instance(kind="udcop", n=n, d=2, domains=((1, 2),) * n,
                             unary=({},) * n, privacy=({1: 1.0, 2: 1.0},) * n,
-                            global_constraint=GlobalConstraint(penalty=5e-324))
+                            penalty=5e-324)
         with pytest.raises(ValueError, match=r"global.penalty: the per-pair share "
                                              r"W/\(n-1\) .* is 0 at n=3"):
             run(agents(3), solver, SolverParams(), seed=0, round_budget=5)
@@ -174,7 +174,7 @@ class TestRunBasics:
     def test_single_agent_run(self):
         inst = Instance(kind="udcop", n=1, d=2, domains=((1, 2),),
                         unary=({1: 5.0, 2: 1.0},), privacy=({1: 1.0, 2: 1.0},),
-                        global_constraint=GlobalConstraint(penalty=10.0))
+                        penalty=10.0)
         outcome, _ = run(inst, "dsa", SolverParams(p=1.0), seed=0, round_budget=10)
         assert outcome.satisfied
         assert outcome.assignment[0] in (1, 2)
@@ -225,7 +225,7 @@ class TestValueVisibilityDelay:
         inst = Instance(
             kind="udcop", n=2, d=2, domains=((1, 2), (1, 2)),
             unary=({}, {}), privacy=({1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}),
-            global_constraint=GlobalConstraint(penalty=100.0))
+            penalty=100.0)
         params = SolverParams(p=1.0, initial_values=(1, 2))
         _, traces = run(inst, "dsa", params, seed=0, round_budget=1)
         assert traces[0].values == (2, 1)
@@ -297,6 +297,26 @@ class TestDsauEstimateInvariant:
 
 
 
+class TestInfiniteCosts:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solver", ["dbo", "dbou"])
+    def test_agent_whose_every_value_costs_inf(self, solver):
+        # agent 0 evaluates every value to inf, so its improvement is
+        # undefined and it never offers; numpy must not warn about it
+        inst = Instance(kind="udcop", n=3, d=2, domains=((1, 2),) * 3,
+                        unary=({1: math.inf, 2: math.inf}, {}, {1: 3.0}),
+                        privacy=({1: 1.0, 2: 1.0},) * 3, penalty=8.5)
+        for seed in range(4):
+            outcome, traces = run(inst, solver, SolverParams(), seed=seed, round_budget=20)
+            ref_outcome, ref_traces = run_reference(inst, solver, SolverParams(),
+                                                    seed=seed, round_budget=20)
+            assert outcome == ref_outcome
+            assert traces == ref_traces
+            # value rounds show its evaluation, offer rounds its offer
+            assert all(t.est_current[0] == math.inf for t in traces[0::2])
+            assert all(t.est_current[0] == 0.0 for t in traces[1::2])
+
+
 class TestBreakoutMemory:
     @pytest.mark.parametrize("solver", ["dbo", "dbou"])
     def test_peak_memory_stays_far_below_dense_weights(self, solver):
@@ -329,7 +349,7 @@ def edge_instances(draw):
                                               for dom in domains)
     penalty = draw(st.sampled_from([math.inf, 0.5, 8.5, 100.0]))
     return Instance(kind=kind, n=n, d=d, domains=domains, unary=unary, privacy=privacy,
-                    global_constraint=GlobalConstraint(penalty=penalty))
+                    penalty=penalty)
 
 
 @settings(max_examples=80, deadline=None)

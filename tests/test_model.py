@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udcop.model import (GlobalConstraint, IncompleteAssignmentError, Instance,
+from udcop.model import (IncompleteAssignmentError, Instance,
                          InstanceFormatError, InstanceValidationError,
                          instance_from_json, instance_to_json, load_instance,
                          save_instance, solution_cost, validate_instance)
@@ -19,39 +19,57 @@ def test_meeting_instance_is_valid():
 
 
 def test_zero_agents_is_flagged():
-    inst = Instance(kind="dcop", n=0, d=3, domains=(), unary=(), privacy=())
-    assert any("n ≥ 1" in v for v in validate_instance(inst))
+    with pytest.raises(InstanceValidationError) as err:
+        Instance(kind="dcop", n=0, d=3, domains=(), unary=(), privacy=())
+    assert any("n ≥ 1" in v for v in err.value.violations)
 
 
 def test_missing_privacy_table_is_flagged():
-    inst = Instance(kind="udcop", n=2, d=2,
-                    domains=((1, 2), (1, 2)),
-                    unary=({}, {}), privacy=())
-    assert any("privacy table required" in v for v in validate_instance(inst))
+    with pytest.raises(InstanceValidationError) as err:
+        Instance(kind="udcop", n=2, d=2,
+                 domains=((1, 2), (1, 2)),
+                 unary=({}, {}), privacy=())
+    assert any("privacy table required" in v for v in err.value.violations)
 
 
 def test_negative_costs_are_flagged():
-    inst = Instance(kind="udcop", n=1, d=2, domains=((1, 2),),
-                    unary=({1: -3.0},), privacy=({1: -1.0},))
-    violations = validate_instance(inst)
+    with pytest.raises(InstanceValidationError) as err:
+        Instance(kind="udcop", n=1, d=2, domains=((1, 2),),
+                 unary=({1: -3.0},), privacy=({1: -1.0},))
+    violations = err.value.violations
     assert sum("costs ≥ 0" in v for v in violations) == 2
 
 
 def test_bad_domain_and_penalty_are_flagged():
-    inst = Instance(kind="dcop", n=2, d=2,
-                    domains=((1, 5), ()),
-                    unary=({}, {}), privacy=(),
-                    global_constraint=GlobalConstraint(penalty=0.0))
-    violations = validate_instance(inst)
+    with pytest.raises(InstanceValidationError) as err:
+        Instance(kind="dcop", n=2, d=2,
+                 domains=((1, 5), ()),
+                 unary=({}, {}), privacy=(),
+                 penalty=0.0)
+    violations = err.value.violations
     assert any("domains[0]" in v for v in violations)
     assert any("domains[1]" in v and "non-empty" in v for v in violations)
     assert any("penalty > 0" in v for v in violations)
 
 
 def test_dcop_with_privacy_entries_is_flagged():
-    inst = Instance(kind="dcop", n=1, d=1, domains=((1,),),
-                    unary=({},), privacy=({1: 2.0},))
-    assert any("must be empty for kind=dcop" in v for v in validate_instance(inst))
+    with pytest.raises(InstanceValidationError) as err:
+        Instance(kind="dcop", n=1, d=1, domains=((1,),),
+                 unary=({},), privacy=({1: 2.0},))
+    assert any("must be empty for kind=dcop" in v for v in err.value.violations)
+
+
+def test_construction_lists_every_violation_of_validate_instance():
+    with pytest.raises(InstanceValidationError) as err:
+        Instance(kind="udcop", n=2, d=2, domains=((1, 3), ()),
+                 unary=({1: -1.0}, {}), privacy=({}, {}), penalty=math.nan)
+    assert err.value.violations == [
+        "domains[0]: values must be integers in [1, 2], got [3]",
+        "domains[1]: domain must be non-empty",
+        "unary[0]: costs ≥ 0 required, got {1: -1.0}",
+        "global.penalty: penalty > 0 required, got nan",
+    ]
+    assert str(err.value) == "invalid instance: " + "; ".join(err.value.violations)
 
 
 class TestSolutionCost:
@@ -89,7 +107,7 @@ small_instances = st.integers(2, 5).flatmap(lambda n: st.builds(
         domains=((1, 2, 3),) * n,
         unary=tuple(unary),
         privacy=(),
-        global_constraint=GlobalConstraint(penalty=penalty)),
+        penalty=penalty),
     st.lists(st.dictionaries(st.integers(1, 3), st.floats(0, 100), max_size=3),
              min_size=n, max_size=n),
     st.floats(1, 1000)))
@@ -106,7 +124,7 @@ def test_solution_cost_permutation_covariant(inst, data):
         domains=tuple(inst.domains[perm[i]] for i in range(inst.n)),
         unary=tuple(inst.unary[perm[i]] for i in range(inst.n)),
         privacy=(),
-        global_constraint=inst.global_constraint)
+        penalty=inst.penalty)
     relabeled_assignment = tuple(assignment[perm[i]] for i in range(inst.n))
     assert solution_cost(relabeled, relabeled_assignment) == pytest.approx(
         solution_cost(inst, assignment))
@@ -172,6 +190,8 @@ def _meeting_doc_with(path, value, kind="udcop"):
     ("udcop", ("global", "penalty"), True, InstanceFormatError, "global.penalty"),
     ("udcop", ("unary", 0, "1"), math.nan, InstanceValidationError, "unary[0]"),
     ("udcop", ("privacy", 2, "3"), math.nan, InstanceValidationError, "privacy[2]"),
+    ("udcop", ("global", "type"), "x", InstanceValidationError,
+     "invalid instance: global.type: must be 'all_equal', got 'x'"),
     ("udcoppc", ("privacy", 0, "c01"), 0, InstanceFormatError,
      "privacy[0]': bad key 'c01'"),
     ("udcop", ("unary", 0, "01"), 0, InstanceFormatError, "unary[0]': bad key '01'"),
@@ -180,7 +200,7 @@ def _meeting_doc_with(path, value, kind="udcop"):
     ("udcop", ("unary", 1, "x1"), 1, InstanceFormatError, "unary[1]': bad key 'x1'"),
 ], ids=["domain-not-array", "float-domain-value", "bool-domain-value", "bool-n",
         "bool-unary-cost", "bool-privacy-cost", "bool-penalty", "nan-unary-cost",
-        "nan-privacy-cost", "key-c01", "key-01", "key-space-2", "key-c", "key-x1"])
+        "nan-privacy-cost", "global-type-x", "key-c01", "key-01", "key-space-2", "key-c", "key-x1"])
 def test_bad_field_value_rejected_on_load(kind, path, value, error, field):
     with pytest.raises(error, match=re.escape(field)):
         instance_from_json(_meeting_doc_with(path, value, kind))
@@ -202,7 +222,16 @@ def test_infinite_penalty_round_trips():
     inst = three_student_meeting()
     text = instance_to_json(inst)
     assert '"penalty": "inf"' in text
-    assert math.isinf(instance_from_json(text).global_constraint.penalty)
+    assert math.isinf(instance_from_json(text).penalty)
+
+
+def test_infinite_cost_round_trips():
+    inst = Instance(kind="udcop", n=2, d=2, domains=((1, 2),) * 2,
+                    unary=({1: math.inf, 2: math.inf}, {1: 3.0}),
+                    privacy=({1: 1.0, 2: math.inf}, {1: 1.0, 2: 1.0}), penalty=8.5)
+    text = instance_to_json(inst)
+    assert '"1": Infinity' in text and '"2": Infinity' in text
+    assert instance_from_json(text) == inst
 
 
 def test_missing_file_raises(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udcop.generator import GenConfig, generate
-from udcop.model import GlobalConstraint, Instance, solution_cost
+from udcop.model import Instance, solution_cost
 from udcop.oracle import (SearchSpaceError, exact_optimum, exact_optimum_dms,
                           exact_optimum_enum)
 from udcop.presets import three_student_meeting
@@ -51,7 +51,7 @@ def test_violating_can_beat_agreement_with_finite_penalty():
         kind="dcop", n=3, d=2, domains=((1, 2),) * 3,
         unary=({1: 0.0, 2: 300.0}, {1: 300.0, 2: 0.0}, {1: 0.0, 2: 300.0}),
         privacy=(),
-        global_constraint=GlobalConstraint(penalty=100.0))
+        penalty=100.0)
     res = exact_optimum_enum(inst)
     assert res.assignment == (1, 2, 1) and res.cost == 100.0
     assert exact_optimum_dms(inst).cost == 300.0
@@ -80,7 +80,7 @@ def test_no_common_value_rejected():
 def test_enum_rejects_an_instance_where_every_assignment_costs_inf():
     inst = Instance(kind="dcop", n=2, d=2, domains=((1,), (2,)),
                     unary=({}, {}), privacy=(),
-                    global_constraint=GlobalConstraint(penalty=math.inf))
+                    penalty=math.inf)
     with pytest.raises(ValueError, match="every assignment costs inf"):
         exact_optimum_enum(inst)
 
@@ -97,7 +97,7 @@ def small_instances(draw):
     unary = tuple(draw(st.dictionaries(st.sampled_from(dom), costs)) for dom in domains)
     penalty = draw(st.sampled_from([0.5, 1.0, 2.5, 7.0, math.inf]))
     return Instance(kind="dcop", n=n, d=d, domains=domains, unary=unary, privacy=(),
-                    global_constraint=GlobalConstraint(penalty=penalty))
+                    penalty=penalty)
 
 
 @settings(max_examples=300, deadline=None)

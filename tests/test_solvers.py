@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from reference_engine import dense_weights
 from udcop import kernels
-from udcop.model import GlobalConstraint, Instance
+from udcop.model import Instance
 from udcop.presets import three_student_meeting
 from udcop.solvers import (ExcessWeights, apply_weight_increments, build_agent_context,
                            dbo_resolve, dbo_send_improve, dsa_step, dsau_step,
@@ -191,7 +191,7 @@ class TestDsauStep:
             kind="udcop", n=3, d=2, domains=((1, 2),) * 3,
             unary=({1: 9.0, 2: 0.0}, {}, {}),
             privacy=({1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}, {1: 0.0, 2: 0.0}),
-            global_constraint=GlobalConstraint(penalty=1000.0))
+            penalty=1000.0)
         values = arr(1, 1, 1)   # everyone on value 1
         revealed = mask(2, {1}, {1}, {1})
         script = {0: 2, 1: 1, 2: 1}
@@ -241,7 +241,7 @@ def agents_on_two_values(n=2):
         kind="udcop", n=n, d=2, domains=((1, 2),) * n,
         unary=({},) * n,
         privacy=({1: 1.0, 2: 1.0},) * n,
-        global_constraint=GlobalConstraint(penalty=100.0))
+        penalty=100.0)
 
 
 def offer_round(values, revealed=None, gate_estimates=False):
