@@ -143,15 +143,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        densities = tuple(float(x) for x in args.densities.split(","))
-        algos = tuple(args.algos.split(","))
         cfg = experiments.SweepConfig(
-            densities=densities, instances_per_cell=args.instances,
-            n=args.agents, d=args.values, algorithms=algos,
+            densities=tuple(float(x) for x in args.densities.split(",")),
+            instances_per_cell=args.instances, n=args.agents, d=args.values,
+            algorithms=tuple(args.algos.split(",")),
             solver_params=engine.SolverParams(p=args.p, penalty=args.penalty),
             master_seed=args.seed, round_budget=args.rounds)
         rows = experiments.run_sweep(cfg)
-    except (ValueError, RuntimeError) as e:
+    except ValueError as e:
         raise CommandError(str(e)) from e
     csv_path, summary_path = experiments.write_outputs(rows, args.out_dir)
     print(f"wrote {csv_path} ({len(rows)} rows)")

@@ -34,7 +34,7 @@ seed) the full trace is reproducible bit for bit: agents only ever observe
 previous-phase state.
 
 An `Instance` and a `SolverParams` each check themselves when they are
-built; a run checks only how the two fit together (see `_check_params`).
+built; a run checks how the two fit (`check_penalty_share`, `_check_params`).
 """
 
 from __future__ import annotations
@@ -196,17 +196,20 @@ QUIET_ROUNDS_TO_STOP = 2
 DEFAULT_ROUND_BUDGET = 100
 
 
-def _check_params(params: SolverParams, tables: solvers.AgentTables) -> None:
-    """Reject parameters that do not fit the instance, naming the field (and
-    the round and agent of a scripted value) before the first round starts."""
-    domains = tables.domains
-    n = len(domains)
+def check_penalty_share(penalty: float, n: int, field: str) -> None:
+    """Reject a penalty W whose per-pair share W/(n-1) is 0 for n agents."""
     # A share of 0 makes disagreement free in every evaluation, and the
     # breakout pair's weight rule (see solvers.dbo_resolve) needs it above 0.
-    if n > 1 and tables.w_unit == 0:
-        field = "global.penalty" if params.penalty is None else "penalty"
+    if n > 1 and penalty / (n - 1) == 0:
         raise ValueError(f"{field}: the per-pair share W/(n-1) of the "
                          f"disagreement penalty W is 0 at n={n}")
+
+
+def _check_params(params: SolverParams, tables: solvers.AgentTables) -> None:
+    """Reject scripted values that do not fit the instance, naming the field
+    (and the round and agent) before the first round starts."""
+    domains = tables.domains
+    n = len(domains)
     if params.initial_values is not None:
         if len(params.initial_values) != n:
             raise ValueError(f"initial_values: expected {n} values, one per agent, "
@@ -239,9 +242,10 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         raise ValueError(f"round_budget ≥ 1 required, got {round_budget}")
     params = params or SolverParams()
     n = inst.n
+    penalty = inst.finite_penalty(params.penalty)
+    check_penalty_share(penalty, n, "global.penalty" if params.penalty is None else "penalty")
     tables = solvers.stack_contexts([build_agent_context(inst, i) for i in range(n)],
-                                    inst.finite_penalty(params.penalty),
-                                    params.divisor_mode, not params.pure_alg2)
+                                    penalty, params.divisor_mode, not params.pure_alg2)
     _check_params(params, tables)
 
     rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]

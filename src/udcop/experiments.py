@@ -5,23 +5,23 @@ same instance with the very same run seed, so comparisons are paired. The
 row seed is derived from the master seed and the cell coordinates (see
 udcop.rng), which also makes the CSV output byte-reproducible. Cells are
 independent, so a caller may farm them out in parallel; this sequential
-implementation already keeps rows in deterministic cell order.
+implementation already keeps rows in deterministic cell order. A
+`SweepConfig` checks itself when built, so a bad input fails before the
+first cell. The CSV columns are the fields of `MetricsRow`, in order.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from udcop.engine import DEFAULT_ROUND_BUDGET, SolverParams, format_float, run
+from udcop.engine import (DEFAULT_ROUND_BUDGET, SolverParams, check_penalty_share,
+                          format_float, run)
 from udcop.generator import GenConfig, generate
 from udcop.rng import derive_seed
-
-CSV_HEADER = ("algorithm,density,seed,privacy_loss_per_agent,"
-              "solution_quality_per_agent,total_cost_per_agent,rounds,"
-              "messages,satisfied")
+from udcop.solvers import SOLVER_KINDS
 
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_ALGORITHMS = ("dbo", "dbou", "dsa", "dsau")
@@ -37,19 +37,44 @@ DEFAULT_MASTER_SEED = 3
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Sweep inputs, checked when built: a ValueError names the field."""
+
     densities: tuple[float, ...] = DEFAULT_DENSITIES
     instances_per_cell: int = 50
     n: int = 10
     d: int = 10
     kind: str = "udcop"
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
-    solver_params: SolverParams = field(default_factory=lambda: DEFAULT_SWEEP_SOLVER_PARAMS)
+    solver_params: SolverParams = DEFAULT_SWEEP_SOLVER_PARAMS
     master_seed: int = DEFAULT_MASTER_SEED
     round_budget: int = DEFAULT_ROUND_BUDGET
+
+    def __post_init__(self):
+        if not self.densities or not self.algorithms:
+            raise ValueError("densities and algorithms must be non-empty")
+        if self.instances_per_cell < 1:
+            raise ValueError("instances_per_cell ≥ 1 required")
+        unknown = [a for a in self.algorithms if a not in SOLVER_KINDS]
+        if unknown:
+            raise ValueError(f"unknown algorithms {unknown}; expected {SOLVER_KINDS}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms: each name may appear once, got {self.algorithms}")
+        if self.round_budget < 1:
+            raise ValueError(f"round_budget ≥ 1 required, got {self.round_budget}")
+        for density in self.densities:
+            self.gen_config(density)
+        if self.solver_params.penalty is not None:
+            check_penalty_share(self.solver_params.penalty, self.n, "penalty")
+
+    def gen_config(self, density: float, seed: int = 0) -> GenConfig:
+        """The generator config of a sweep instance at `density`."""
+        return GenConfig(n=self.n, d=self.d, density=density, seed=seed, kind=self.kind)
 
 
 @dataclass(frozen=True)
 class MetricsRow:
+    """One sweep run; its fields are the CSV columns, in order."""
+
     algorithm: str
     density: float
     seed: int
@@ -66,30 +91,19 @@ def row_seed(cfg: SweepConfig, density_index: int, instance_index: int) -> int:
     return derive_seed(cfg.master_seed, density_index, instance_index)
 
 
+CSV_HEADER = ",".join(f.name for f in fields(MetricsRow))
+
+
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
     """Run every (density, instance, algorithm) cell; deterministic order."""
-    if not cfg.densities or not cfg.algorithms:
-        raise ValueError("densities and algorithms must be non-empty")
-    if cfg.instances_per_cell < 1:
-        raise ValueError("instances_per_cell ≥ 1 required")
-    from udcop.solvers import SOLVER_KINDS
-    unknown = [a for a in cfg.algorithms if a not in SOLVER_KINDS]
-    if unknown:
-        raise ValueError(f"unknown algorithms {unknown}; expected {SOLVER_KINDS}")
     rows: list[MetricsRow] = []
     for di, density in enumerate(cfg.densities):
         for k in range(cfg.instances_per_cell):
             seed = row_seed(cfg, di, k)
-            inst = generate(GenConfig(n=cfg.n, d=cfg.d, density=density,
-                                      seed=seed, kind=cfg.kind))
+            inst = generate(cfg.gen_config(density, seed))
             for algo in cfg.algorithms:
-                try:
-                    outcome, _ = run(inst, algo, cfg.solver_params, seed=seed,
-                                     round_budget=cfg.round_budget)
-                except Exception as e:
-                    raise RuntimeError(
-                        f"cell (density={density}, instance={k}, algo={algo}) "
-                        f"failed: {e}") from e
+                outcome, _ = run(inst, algo, cfg.solver_params, seed=seed,
+                                 round_budget=cfg.round_budget)
                 rows.append(MetricsRow(
                     algorithm=algo,
                     density=density,
@@ -110,8 +124,6 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
 
 @dataclass(frozen=True)
 class CellSummary:
-    algorithm: str
-    density: float
     runs: int
     mean_privacy: float
     hw_privacy: float
@@ -124,14 +136,11 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    cells: tuple[CellSummary, ...]
-    quality_by_algorithm: dict[str, float]   # pooled across densities
+    cells: dict[tuple[str, float], CellSummary]   # by (algorithm, density)
+    quality_by_algorithm: dict[str, float]         # pooled across densities
 
     def cell(self, algorithm: str, density: float) -> CellSummary:
-        for c in self.cells:
-            if c.algorithm == algorithm and c.density == density:
-                return c
-        raise KeyError((algorithm, density))
+        return self.cells[algorithm, density]
 
 
 def _mean_hw(xs: Sequence[float]) -> tuple[float, float]:
@@ -154,51 +163,44 @@ def aggregate(rows: Sequence[MetricsRow]) -> SweepSummary:
     the pooled mean solution quality per algorithm."""
     if not rows:
         raise ValueError("no rows to aggregate")
-    algorithms = sorted({r.algorithm for r in rows})
-    densities = sorted({r.density for r in rows})
-    cells = []
-    for algo in algorithms:
-        for density in densities:
-            sel = [r for r in rows if r.algorithm == algo and r.density == density]
-            if not sel:
-                continue
-            mp, hp = _mean_hw([r.privacy_loss_per_agent for r in sel])
-            mq, hq = _mean_hw([r.solution_quality_per_agent for r in sel])
-            mt, ht = _mean_hw([r.total_cost_per_agent for r in sel])
-            cells.append(CellSummary(
-                algorithm=algo, density=density, runs=len(sel),
-                mean_privacy=mp, hw_privacy=hp,
-                mean_quality=mq, hw_quality=hq,
-                mean_total=mt, hw_total=ht,
-                satisfied_rate=sum(r.satisfied for r in sel) / len(sel),
-            ))
-    pooled = {
-        algo: sum(r.solution_quality_per_agent for r in rows if r.algorithm == algo)
-        / max(1, sum(1 for r in rows if r.algorithm == algo))
-        for algo in algorithms
-    }
-    return SweepSummary(cells=tuple(cells), quality_by_algorithm=pooled)
+    # one pass; each group keeps the row order, so every sum adds as before
+    groups: dict[tuple[str, float], list[MetricsRow]] = {}
+    qualities: dict[str, list[float]] = {}
+    for r in rows:
+        groups.setdefault((r.algorithm, r.density), []).append(r)
+        qualities.setdefault(r.algorithm, []).append(r.solution_quality_per_agent)
+    cells = {}
+    for (algo, density), sel in sorted(groups.items()):
+        mp, hp = _mean_hw([r.privacy_loss_per_agent for r in sel])
+        mq, hq = _mean_hw([r.solution_quality_per_agent for r in sel])
+        mt, ht = _mean_hw([r.total_cost_per_agent for r in sel])
+        cells[algo, density] = CellSummary(
+            runs=len(sel),
+            mean_privacy=mp, hw_privacy=hp,
+            mean_quality=mq, hw_quality=hq,
+            mean_total=mt, hw_total=ht,
+            satisfied_rate=sum(r.satisfied for r in sel) / len(sel),
+        )
+    pooled = {algo: sum(qs) / len(qs) for algo, qs in sorted(qualities.items())}
+    return SweepSummary(cells=cells, quality_by_algorithm=pooled)
 
 
 # ---------------------------------------------------------------------------
 # Output files
 # ---------------------------------------------------------------------------
 
+def _csv_cell(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format_float(x) if isinstance(x, float) else str(x)
+
+
 def rows_to_csv(rows: Iterable[MetricsRow]) -> str:
+    """CSV text with one column per `MetricsRow` field, in field order."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for r in rows:
-        out.write(",".join((
-            r.algorithm,
-            format_float(r.density),
-            str(r.seed),
-            format_float(r.privacy_loss_per_agent),
-            format_float(r.solution_quality_per_agent),
-            format_float(r.total_cost_per_agent),
-            str(r.rounds),
-            str(r.messages),
-            "true" if r.satisfied else "false",
-        )) + "\n")
+        out.write(",".join(_csv_cell(getattr(r, f.name)) for f in fields(r)) + "\n")
     return out.getvalue()
 
 
@@ -206,22 +208,17 @@ def summary_to_text(summary: SweepSummary) -> str:
     """Plain-text tables: privacy per agent, total cost per agent and the
     agreement rate by (algorithm, density), and pooled solution quality per
     algorithm."""
-    algorithms = sorted({c.algorithm for c in summary.cells})
-    densities = sorted({c.density for c in summary.cells})
+    algorithms = sorted({algo for algo, _ in summary.cells})
+    densities = sorted({density for _, density in summary.cells})
     lines = []
 
     def table(title: str, pick) -> None:
         lines.append(title)
-        header = "algorithm " + " ".join(f"{d:>8.2f}" for d in densities)
-        lines.append(header)
+        lines.append("algorithm " + " ".join(f"{d:>8.2f}" for d in densities))
         for algo in algorithms:
-            cells = []
-            for d in densities:
-                try:
-                    cells.append(f"{pick(summary.cell(algo, d)):>8.2f}")
-                except KeyError:
-                    cells.append(f"{'-':>8}")
-            lines.append(f"{algo:<9} " + " ".join(cells))
+            cells = (summary.cells.get((algo, d)) for d in densities)
+            lines.append(f"{algo:<9} " + " ".join(
+                f"{'-':>8}" if c is None else f"{pick(c):>8.2f}" for c in cells))
         lines.append("")
 
     table("Privacy loss per agent (mean by density)", lambda c: c.mean_privacy)

@@ -13,8 +13,8 @@ The recipe, applied independently per agent from its derived stream
 6. every value of every agent gets a revelation cost uniform in
    [0, privacy_max], drawn in ascending value order.
 
-A zero-cost unary constraint still counts toward the density. The output
-is a pure function of the config: equal configs give byte-identical files.
+A zero-cost unary constraint still counts toward the density. A `GenConfig`
+checks itself when built, and equal configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from udcop.rng import STREAM_GENERATION, agent_stream, round_half_up
 
 @dataclass(frozen=True)
 class GenConfig:
+    """Generator inputs, checked when built: a ValueError names the field."""
+
     n: int
     d: int
     density: float
@@ -37,25 +39,23 @@ class GenConfig:
     privacy_max: int = 9
     kind: str = "udcop"
 
-
-def _check_config(cfg: GenConfig) -> None:
-    if cfg.n < 1:
-        raise ValueError(f"n ≥ 1 required, got {cfg.n}")
-    if cfg.d < 1:
-        raise ValueError(f"d ≥ 1 required, got {cfg.d}")
-    if not 0.0 <= cfg.density <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {cfg.density}")
-    if cfg.cost_max < 0 or cfg.privacy_max < 0:
-        raise ValueError("cost_max and privacy_max must be ≥ 0")
-    if cfg.seed < 0 or cfg.seed >= 2 ** 64:
-        raise ValueError(f"seed must be a 64-bit non-negative integer, got {cfg.seed}")
-    if cfg.kind not in ("udcop", "udcoppc"):
-        raise ValueError(f"kind must be 'udcop' or 'udcoppc', got {cfg.kind!r}")
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n ≥ 1 required, got {self.n}")
+        if self.d < 1:
+            raise ValueError(f"d ≥ 1 required, got {self.d}")
+        if not 0.0 <= self.density <= 1.0:
+            raise ValueError(f"density must lie in [0, 1], got {self.density}")
+        if self.cost_max < 0 or self.privacy_max < 0:
+            raise ValueError("cost_max and privacy_max must be ≥ 0")
+        if self.seed < 0 or self.seed >= 2 ** 64:
+            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
+        if self.kind not in ("udcop", "udcoppc"):
+            raise ValueError(f"kind must be 'udcop' or 'udcoppc', got {self.kind!r}")
 
 
 def generate(cfg: GenConfig) -> Instance:
-    """Generate one meeting-scheduling instance from the config."""
-    _check_config(cfg)
+    """Generate one meeting-scheduling instance from the (checked) config."""
     k = round_half_up(cfg.density * cfg.d)
     domains = []
     unary = []

@@ -121,8 +121,8 @@ def validate_instance(inst: Instance) -> list[str]:
     if len(inst.unary) != inst.n:
         out.append(f"unary: expected {inst.n} tables, got {len(inst.unary)}")
     if inst.kind == "dcop":
-        if any(table for table in inst.privacy):
-            out.append("privacy: must be empty for kind=dcop")
+        if any(inst.privacy) or len(inst.privacy) not in (0, inst.n):
+            out.append(f"privacy: must be empty for kind=dcop ({inst.n} empty tables or none)")
     elif len(inst.privacy) != inst.n:
         out.append("privacy: privacy table required (one per agent) for "
                    f"kind={inst.kind}")
@@ -174,7 +174,7 @@ def solution_cost(inst: Instance, assignment: Sequence[int]) -> float:
 #   domains  array of n arrays of values
 #   unary    array of n {value: cost} maps
 #   privacy  array of n maps; keys are values (udcop) or "c<value>" ids
-#            (udcoppc); omitted or empty for dcop
+#            (udcoppc); for dcop omitted, empty or n empty maps
 #   global   {"type": "all_equal", "penalty": number | "inf"}
 #
 # A key is spelled canonically: the value in plain decimal ("3"), after the

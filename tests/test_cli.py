@@ -6,12 +6,15 @@ from pathlib import Path
 
 from inspect import signature
 
+import pytest
+
 from udcop import engine, experiments
 from udcop.cli import _build_parser, main
 from udcop.engine import DEFAULT_ROUND_BUDGET, SolverParams, run
 from udcop.experiments import SweepConfig
 from udcop.generator import GenConfig
-from udcop.model import load_instance
+from udcop.model import instance_to_json, load_instance
+from udcop.presets import three_student_meeting
 
 
 def test_gen_writes_valid_instance(tmp_path, capsys):
@@ -115,6 +118,38 @@ def test_bad_p_fails_before_the_first_sweep_cell(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert capsys.readouterr().err == "udcop: error: p: must lie in [0, 1], got 3.0\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rounds", "0"], "round_budget ≥ 1 required, got 0"),
+    (["--penalty", "5e-324"],
+     "penalty: the per-pair share W/(n-1) of the disagreement penalty W is 0 at n=10"),
+    (["--densities", "0.1,0.2,0.3,0.4,5"], "density must lie in [0, 1], got 5.0"),
+    (["--agents", "0"], "n ≥ 1 required, got 0"),
+    (["--algos", "dsa,dsa"], "algorithms: each name may appear once, got ('dsa', 'dsa')"),
+], ids=["rounds-0", "penalty-share-0", "density-5", "agents-0", "repeated-algo"])
+def test_bad_sweep_input_fails_before_the_first_cell(flags, message, tmp_path, capsys,
+                                                     monkeypatch):
+    def no_generate(cfg):
+        raise AssertionError("experiments.generate called")
+
+    monkeypatch.setattr(experiments, "generate", no_generate)
+    code = main(["sweep", *flags, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"udcop: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_dcop_privacy_of_wrong_length_is_exit_2(tmp_path, capsys):
+    doc = json.loads(instance_to_json(three_student_meeting("dcop")))
+    doc["privacy"] = [{}]
+    path = tmp_path / "dcop.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["solve", "--in", str(path), "--algo", "dsa"], ["oracle", "--in", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"udcop: error: {path}: invalid instance: "
+            "privacy: must be empty for kind=dcop (3 empty tables or none)\n")
 
 
 def test_unwritable_gen_output_is_exit_2(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import random
+import re
 import statistics
 
 import pytest
 
+from udcop.engine import SolverParams
 from udcop.experiments import (CSV_HEADER, MetricsRow, SweepConfig, aggregate,
                                row_seed, rows_to_csv, run_sweep,
                                summary_to_text, write_outputs)
@@ -25,12 +28,13 @@ def test_row_count(small_cfg, small_rows):
 
 
 def test_rows_in_cell_order(small_cfg, small_rows):
-    expected = [(d, k, a) for d in small_cfg.densities for k in range(3)
+    # density, then instance, then algorithm; each instance's rows carry its
+    # published seed, and the seeds differ between instances
+    expected = [(d, row_seed(small_cfg, di, k), a)
+                for di, d in enumerate(small_cfg.densities) for k in range(3)
                 for a in small_cfg.algorithms]
-    got = []
-    for d, k, a in expected:
-        got.append((d, a))
-    assert [(r.density, r.algorithm) for r in small_rows] == got
+    assert len({seed for _, seed, _ in expected}) == 2 * 3
+    assert [(r.density, r.seed, r.algorithm) for r in small_rows] == expected
 
 
 def test_sweep_is_deterministic(small_cfg, small_rows):
@@ -88,9 +92,40 @@ def test_half_width_is_the_95_percent_t_interval():
 
 def test_aggregate_mean_identity(small_rows):
     summary = aggregate(small_rows)
-    for cell in summary.cells:
+    for cell in summary.cells.values():
         assert cell.mean_total == pytest.approx(
             cell.mean_privacy + cell.mean_quality, abs=1e-9)
+
+
+def test_aggregate_adds_each_group_in_row_order(small_rows):
+    # in any row order, a cell's mean and the pooled quality add their
+    # floats in the order the rows come, as a filter over the rows would
+    rows = list(small_rows)
+    random.Random(5).shuffle(rows)
+    summary = aggregate(rows)
+    assert list(summary.cells) == sorted(summary.cells)
+    for (algo, density), cell in summary.cells.items():
+        sel = [r for r in rows if (r.algorithm, r.density) == (algo, density)]
+        assert cell.runs == len(sel)
+        assert cell.mean_privacy == sum(r.privacy_loss_per_agent for r in sel) / len(sel)
+        assert cell is summary.cell(algo, density)
+    for algo, quality in summary.quality_by_algorithm.items():
+        qs = [r.solution_quality_per_agent for r in rows if r.algorithm == algo]
+        assert quality == sum(qs) / len(qs)
+
+
+def test_summary_marks_a_missing_cell(small_rows):
+    rows = [r for r in small_rows if (r.algorithm, r.density) != ("dsa", 0.5)]
+    privacy = summary_to_text(aggregate(rows)).split("\n\n")[0].splitlines()
+    assert privacy[2].split()[0] == "dsa" and privacy[2].split()[-1] == "-"
+
+
+def test_csv_columns_are_the_row_fields():
+    row = MetricsRow("dsa", 0.3, 7, 2.0, 1.0, 3.0, 5, 40, False)
+    assert CSV_HEADER == ("algorithm,density,seed,privacy_loss_per_agent,"
+                          "solution_quality_per_agent,total_cost_per_agent,rounds,"
+                          "messages,satisfied")
+    assert rows_to_csv([row]).splitlines()[1] == "dsa,0.3,7,2,1,3,5,40,false"
 
 
 def test_quality_table_has_one_entry_per_algorithm(small_rows):
@@ -121,9 +156,29 @@ def test_write_outputs_round_trip(tmp_path, small_rows):
 
 def test_bad_configs_rejected():
     with pytest.raises(ValueError):
-        run_sweep(SweepConfig(densities=()))
+        SweepConfig(densities=())
     with pytest.raises(ValueError):
-        run_sweep(SweepConfig(instances_per_cell=0))
+        SweepConfig(instances_per_cell=0)
     with pytest.raises(ValueError, match="unknown algorithms"):
-        run_sweep(SweepConfig(densities=(0.1,), instances_per_cell=1,
-                              algorithms=("nope",)))
+        SweepConfig(densities=(0.1,), instances_per_cell=1, algorithms=("nope",))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(algorithms=("dsa", "dsa")),
+     "algorithms: each name may appear once, got ('dsa', 'dsa')"),
+    (dict(round_budget=0), "round_budget ≥ 1 required, got 0"),
+    (dict(solver_params=SolverParams(penalty=5e-324)),
+     "penalty: the per-pair share W/(n-1) of the disagreement penalty W is 0 at n=10"),
+    (dict(densities=(0.1, 0.2, 0.3, 0.4, 5.0)), "density must lie in [0, 1], got 5.0"),
+    (dict(n=0), "n ≥ 1 required, got 0"),
+    (dict(d=0), "d ≥ 1 required, got 0"),
+    (dict(kind="dcop"), "kind must be 'udcop' or 'udcoppc', got 'dcop'"),
+], ids=["repeated-algorithm", "rounds-0", "share-0", "density-5", "n-0", "d-0", "kind-dcop"])
+def test_config_checks_itself(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepConfig(**fields)
+
+
+def test_a_single_agent_has_no_penalty_share_to_check():
+    # with one agent there is no pair to share W, as in engine.run
+    SweepConfig(n=1, solver_params=SolverParams(penalty=5e-324))

@@ -67,13 +67,14 @@ def test_udcoppc_keys_are_constraint_ids():
 
 
 @pytest.mark.parametrize("bad", [
-    GenConfig(n=0, d=5, density=0.5, seed=1),
-    GenConfig(n=5, d=0, density=0.5, seed=1),
-    GenConfig(n=5, d=5, density=1.5, seed=1),
-    GenConfig(n=5, d=5, density=0.5, seed=-1),
-    GenConfig(n=5, d=5, density=0.5, seed=1, cost_max=-2),
-    GenConfig(n=5, d=5, density=0.5, seed=1, kind="dcop"),
+    dict(n=0, d=5, density=0.5, seed=1),
+    dict(n=5, d=0, density=0.5, seed=1),
+    dict(n=5, d=5, density=1.5, seed=1),
+    dict(n=5, d=5, density=0.5, seed=-1),
+    dict(n=5, d=5, density=0.5, seed=1, cost_max=-2),
+    dict(n=5, d=5, density=0.5, seed=1, kind="dcop"),
 ])
 def test_invalid_configs_rejected(bad):
+    # a GenConfig checks itself, so a bad one never reaches generate
     with pytest.raises(ValueError):
-        generate(bad)
+        GenConfig(**bad)

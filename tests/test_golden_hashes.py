@@ -11,7 +11,8 @@ import hashlib
 import pytest
 
 from udcop.engine import SolverParams, format_trace, run
-from udcop.experiments import SweepConfig, rows_to_csv, run_sweep
+from udcop.experiments import (SweepConfig, aggregate, rows_to_csv, run_sweep,
+                               summary_to_text)
 from udcop.generator import GenConfig, generate
 from udcop.model import instance_to_json
 from udcop.presets import three_student_meeting
@@ -25,6 +26,12 @@ def test_small_sweep_csv_is_unchanged():
     csv = rows_to_csv(run_sweep(SweepConfig(instances_per_cell=2)))
     assert sha256(csv) == \
         "7d94269a32279109384ba471afef9b118ef10aea5f7f05950b8e0e4546c65708"
+
+
+def test_small_sweep_summary_is_unchanged():
+    summary = summary_to_text(aggregate(run_sweep(SweepConfig(instances_per_cell=2))))
+    assert sha256(summary) == \
+        "7509ad4f5909df546334fba53a8873bc7986f8a00bfc97095f31ef34ecbeca6a"
 
 
 TRACE_HASHES = {

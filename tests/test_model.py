@@ -198,12 +198,21 @@ def _meeting_doc_with(path, value, kind="udcop"):
     ("udcop", ("privacy", 1, " 2"), 5, InstanceFormatError, "privacy[1]': bad key ' 2'"),
     ("udcoppc", ("privacy", 2, "c"), 1, InstanceFormatError, "privacy[2]': bad key 'c'"),
     ("udcop", ("unary", 1, "x1"), 1, InstanceFormatError, "unary[1]': bad key 'x1'"),
+    ("dcop", ("privacy",), [{}], InstanceValidationError,
+     "privacy: must be empty for kind=dcop (3 empty tables or none)"),
 ], ids=["domain-not-array", "float-domain-value", "bool-domain-value", "bool-n",
         "bool-unary-cost", "bool-privacy-cost", "bool-penalty", "nan-unary-cost",
-        "nan-privacy-cost", "global-type-x", "key-c01", "key-01", "key-space-2", "key-c", "key-x1"])
+        "nan-privacy-cost", "global-type-x", "key-c01", "key-01", "key-space-2", "key-c", "key-x1",
+        "dcop-one-privacy-map"])
 def test_bad_field_value_rejected_on_load(kind, path, value, error, field):
     with pytest.raises(error, match=re.escape(field)):
         instance_from_json(_meeting_doc_with(path, value, kind))
+
+
+@pytest.mark.parametrize("privacy", [[], [{}, {}, {}]], ids=["none", "one-per-agent"])
+def test_dcop_loads_with_no_or_one_empty_privacy_map_per_agent(privacy):
+    inst = instance_from_json(_meeting_doc_with(("privacy",), privacy, "dcop"))
+    assert [inst.reveal_cost(i, 1) for i in range(inst.n)] == [0.0] * 3
 
 
 def test_duplicate_key_rejected_on_load():
