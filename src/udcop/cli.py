@@ -11,7 +11,7 @@ import sys
 
 from udcop import engine, experiments, oracle, presets
 from udcop.engine import format_float
-from udcop.generator import GenConfig, generate
+from udcop.generator import GENERATED_KINDS, GenConfig, generate
 from udcop.model import save_instance, load_instance
 from udcop.solvers import DIVISOR_MODES, SOLVER_KINDS
 
@@ -41,7 +41,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--cost-max", type=int, default=GenConfig.cost_max)
     gen.add_argument("--privacy-max", type=int, default=GenConfig.privacy_max)
-    gen.add_argument("--kind", choices=("udcop", "udcoppc"), default="udcop")
+    gen.add_argument("--kind", choices=GENERATED_KINDS, default=GenConfig.kind)
     gen.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run one solver on an instance file")

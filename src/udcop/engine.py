@@ -34,7 +34,8 @@ seed) the full trace is reproducible bit for bit: agents only ever observe
 previous-phase state.
 
 An `Instance` and a `SolverParams` each check themselves when they are
-built; a run checks how the two fit (`check_penalty_share`, `_check_params`).
+built; a run first checks how they fit, its round budget and its seed
+(`check_run_inputs`, `rng.check_seed`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from udcop import solvers
 from udcop.model import Instance
-from udcop.rng import STREAM_SOLVER, agent_stream
+from udcop.rng import STREAM_SOLVER, agent_stream, check_seed
 from udcop.solvers import SOLVER_KINDS, build_agent_context
 
 TRACE_FIELDS = ("round", "agent", "action", "value", "revealed", "charged",
@@ -196,20 +197,18 @@ QUIET_ROUNDS_TO_STOP = 2
 DEFAULT_ROUND_BUDGET = 100
 
 
-def check_penalty_share(penalty: float, n: int, field: str) -> None:
-    """Reject a penalty W whose per-pair share W/(n-1) is 0 for n agents."""
+def check_run_inputs(params: SolverParams, domains: Sequence[Sequence[int]], round_budget: int,
+                     penalty: float | None, penalty_field: str = "penalty") -> None:
+    """Reject run inputs that agents with these `domains` cannot use, naming the
+    field (and the round and agent); a W `penalty` of None skips its share check."""
+    if round_budget < 1:
+        raise ValueError(f"round_budget ≥ 1 required, got {round_budget}")
+    n = len(domains)
     # A share of 0 makes disagreement free in every evaluation, and the
     # breakout pair's weight rule (see solvers.dbo_resolve) needs it above 0.
-    if n > 1 and penalty / (n - 1) == 0:
-        raise ValueError(f"{field}: the per-pair share W/(n-1) of the "
+    if penalty is not None and n > 1 and penalty / (n - 1) == 0:
+        raise ValueError(f"{penalty_field}: the per-pair share W/(n-1) of the "
                          f"disagreement penalty W is 0 at n={n}")
-
-
-def _check_params(params: SolverParams, tables: solvers.AgentTables) -> None:
-    """Reject scripted values that do not fit the instance, naming the field
-    (and the round and agent) before the first round starts."""
-    domains = tables.domains
-    n = len(domains)
     if params.initial_values is not None:
         if len(params.initial_values) != n:
             raise ValueError(f"initial_values: expected {n} values, one per agent, "
@@ -238,15 +237,14 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     """
     if solver not in SOLVER_KINDS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_KINDS}")
-    if round_budget < 1:
-        raise ValueError(f"round_budget ≥ 1 required, got {round_budget}")
     params = params or SolverParams()
     n = inst.n
     penalty = inst.finite_penalty(params.penalty)
-    check_penalty_share(penalty, n, "global.penalty" if params.penalty is None else "penalty")
+    check_run_inputs(params, inst.domains, round_budget, penalty,
+                     "global.penalty" if params.penalty is None else "penalty")
+    check_seed(seed, "seed")
     tables = solvers.stack_contexts([build_agent_context(inst, i) for i in range(n)],
                                     penalty, params.divisor_mode, not params.pure_alg2)
-    _check_params(params, tables)
 
     rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]
     values = (solvers.draw_values(tables, rngs) if params.initial_values is None

@@ -6,8 +6,9 @@ row seed is derived from the master seed and the cell coordinates (see
 udcop.rng), which also makes the CSV output byte-reproducible. Cells are
 independent, so a caller may farm them out in parallel; this sequential
 implementation already keeps rows in deterministic cell order. A
-`SweepConfig` checks itself when built, so a bad input fails before the
-first cell. The CSV columns are the fields of `MetricsRow`, in order.
+`SweepConfig` checks itself when built, by the engine's and the generator's
+own rules, so a bad input fails before the first cell. The CSV columns are
+the fields of `MetricsRow`, in order, filled by name from the run's `Outcome`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from udcop.engine import (DEFAULT_ROUND_BUDGET, SolverParams, check_penalty_share,
+from udcop.engine import (DEFAULT_ROUND_BUDGET, SolverParams, check_run_inputs,
                           format_float, run)
 from udcop.generator import GenConfig, generate
-from udcop.rng import derive_seed
+from udcop.rng import check_seed, derive_seed
 from udcop.solvers import SOLVER_KINDS
 
 DEFAULT_DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -59,12 +60,12 @@ class SweepConfig:
             raise ValueError(f"unknown algorithms {unknown}; expected {SOLVER_KINDS}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms: each name may appear once, got {self.algorithms}")
-        if self.round_budget < 1:
-            raise ValueError(f"round_budget ≥ 1 required, got {self.round_budget}")
         for density in self.densities:
             self.gen_config(density)
-        if self.solver_params.penalty is not None:
-            check_penalty_share(self.solver_params.penalty, self.n, "penalty")
+        # every generated agent has the domain 1..d
+        check_run_inputs(self.solver_params, (range(1, self.d + 1),) * self.n,
+                         self.round_budget, self.solver_params.penalty)
+        check_seed(self.master_seed, "master_seed")
 
     def gen_config(self, density: float, seed: int = 0) -> GenConfig:
         """The generator config of a sweep instance at `density`."""
@@ -92,6 +93,7 @@ def row_seed(cfg: SweepConfig, density_index: int, instance_index: int) -> int:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(MetricsRow))
+_OUTCOME_COLUMNS = [f.name for f in fields(MetricsRow)][3:]  # after the cell coordinates
 
 
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
@@ -104,17 +106,8 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
             for algo in cfg.algorithms:
                 outcome, _ = run(inst, algo, cfg.solver_params, seed=seed,
                                  round_budget=cfg.round_budget)
-                rows.append(MetricsRow(
-                    algorithm=algo,
-                    density=density,
-                    seed=seed,
-                    privacy_loss_per_agent=outcome.privacy_loss_per_agent,
-                    solution_quality_per_agent=outcome.solution_quality_per_agent,
-                    total_cost_per_agent=outcome.total_cost_per_agent,
-                    rounds=outcome.rounds,
-                    messages=outcome.messages,
-                    satisfied=outcome.satisfied,
-                ))
+                rows.append(MetricsRow(algo, density, seed, *(
+                    getattr(outcome, name) for name in _OUTCOME_COLUMNS)))
     return rows
 
 

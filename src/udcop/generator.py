@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from udcop.model import Instance
-from udcop.rng import STREAM_GENERATION, agent_stream, round_half_up
+from udcop.rng import STREAM_GENERATION, agent_stream, check_seed, round_half_up
+
+GENERATED_KINDS = ("udcop", "udcoppc")
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,10 @@ class GenConfig:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
         if self.cost_max < 0 or self.privacy_max < 0:
             raise ValueError("cost_max and privacy_max must be ≥ 0")
-        if self.seed < 0 or self.seed >= 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
-        if self.kind not in ("udcop", "udcoppc"):
-            raise ValueError(f"kind must be 'udcop' or 'udcoppc', got {self.kind!r}")
+        check_seed(self.seed, "seed")
+        if self.kind not in GENERATED_KINDS:
+            raise ValueError(f"kind must be {' or '.join(map(repr, GENERATED_KINDS))}, "
+                             f"got {self.kind!r}")
 
 
 def generate(cfg: GenConfig) -> Instance:

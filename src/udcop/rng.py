@@ -25,6 +25,12 @@ STREAM_SOLVER = 1
 STREAM_SWEEP = 2
 
 
+def check_seed(seed: int, field: str) -> None:
+    """Reject a seed outside 0..2^64-1, naming the field."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"{field}: must be a 64-bit non-negative integer, got {seed}")
+
+
 def agent_stream(seed: int, domain: int, agent: int) -> np.random.Generator:
     """Independent per-agent generator for the given seed and domain tag."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, domain, agent])))

@@ -77,6 +77,16 @@ def test_bad_penalty_is_exit_2(tmp_path, capsys):
     assert "penalty: must be a finite number > 0, got nan" in capsys.readouterr().err
 
 
+def test_negative_solve_seed_is_exit_2(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "3", "--values", "3", "--density", "0.5",
+          "--seed", "1", "--out", str(inst_path)])
+    code = main(["solve", "--in", str(inst_path), "--algo", "dsa", "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "udcop: error: seed: must be a 64-bit non-negative integer, got -1\n"
+
+
 def test_instance_path_that_is_a_directory_is_exit_2(tmp_path, capsys):
     code = main(["solve", "--in", str(tmp_path), "--algo", "dsa"])
     assert code == 2
@@ -127,7 +137,9 @@ def test_bad_p_fails_before_the_first_sweep_cell(tmp_path, capsys, monkeypatch):
     (["--densities", "0.1,0.2,0.3,0.4,5"], "density must lie in [0, 1], got 5.0"),
     (["--agents", "0"], "n ≥ 1 required, got 0"),
     (["--algos", "dsa,dsa"], "algorithms: each name may appear once, got ('dsa', 'dsa')"),
-], ids=["rounds-0", "penalty-share-0", "density-5", "agents-0", "repeated-algo"])
+    (["--seed", "-1"], "master_seed: must be a 64-bit non-negative integer, got -1"),
+], ids=["rounds-0", "penalty-share-0", "density-5", "agents-0", "repeated-algo",
+        "seed-negative"])
 def test_bad_sweep_input_fails_before_the_first_cell(flags, message, tmp_path, capsys,
                                                      monkeypatch):
     def no_generate(cfg):

@@ -1,10 +1,12 @@
 import random
 import re
 import statistics
+from dataclasses import fields
 
 import pytest
 
-from udcop.engine import SolverParams
+from udcop import experiments
+from udcop.engine import Outcome, SolverParams
 from udcop.experiments import (CSV_HEADER, MetricsRow, SweepConfig, aggregate,
                                row_seed, rows_to_csv, run_sweep,
                                summary_to_text, write_outputs)
@@ -126,6 +128,11 @@ def test_csv_columns_are_the_row_fields():
                           "solution_quality_per_agent,total_cost_per_agent,rounds,"
                           "messages,satisfied")
     assert rows_to_csv([row]).splitlines()[1] == "dsa,0.3,7,2,1,3,5,40,false"
+    # run_sweep copies every column after the cell coordinates by name from
+    # the run's Outcome, so renaming either side must fail here first
+    outcome_fields = {f.name for f in fields(Outcome)}
+    assert [f.name for f in fields(MetricsRow)[3:]
+            if f.name not in outcome_fields] == []
 
 
 def test_quality_table_has_one_entry_per_algorithm(small_rows):
@@ -182,3 +189,20 @@ def test_config_checks_itself(fields, message):
 def test_a_single_agent_has_no_penalty_share_to_check():
     # with one agent there is no pair to share W, as in engine.run
     SweepConfig(n=1, solver_params=SolverParams(penalty=5e-324))
+
+
+@pytest.mark.parametrize("params, message", [
+    (SolverParams(initial_values=(1, 2)),
+     "initial_values: expected 10 values, one per agent, got 2"),
+    (SolverParams(candidate_script=({0: 1}, {3: 11})),
+     "candidate_script[1] (round 2): agent 3: value 11 is outside its domain"),
+    (SolverParams(candidate_script=({10: 1},)),
+     "candidate_script[0] (round 1): agent 10 does not exist (agents are 0..9)"),
+], ids=["initial-values-length", "candidate-above-d", "agent-n"])
+def test_scripted_values_fail_before_the_first_instance(params, message, monkeypatch):
+    def no_generate(cfg):
+        raise AssertionError("experiments.generate called")
+
+    monkeypatch.setattr(experiments, "generate", no_generate)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(SweepConfig(instances_per_cell=1, solver_params=params))
