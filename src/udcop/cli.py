@@ -1,12 +1,13 @@
 """Command-line front end: gen / solve / oracle / sweep / trace-example.
 
 Exit codes: 0 success, 1 usage error, 2 validation, run or file error.
+Every rejected input (a ValueError) and every unusable file (an OSError)
+takes the one path in `main` to exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 from udcop import engine, experiments, oracle, presets
@@ -20,10 +21,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class CommandError(Exception):
-    """Run or validation failure surfaced as exit code 2."""
 
 
 def _build_parser() -> _Parser:
@@ -88,18 +85,13 @@ def _load(path: str):
     try:
         return load_instance(path)
     except ValueError as e:
-        raise CommandError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _cmd_gen(args) -> int:
-    try:
-        inst = generate(GenConfig(n=args.agents, d=args.values,
-                                  density=args.density, seed=args.seed,
-                                  cost_max=args.cost_max,
-                                  privacy_max=args.privacy_max,
-                                  kind=args.kind))
-    except ValueError as e:
-        raise CommandError(str(e)) from e
+    inst = generate(GenConfig(n=args.agents, d=args.values, density=args.density,
+                              seed=args.seed, cost_max=args.cost_max,
+                              privacy_max=args.privacy_max, kind=args.kind))
     save_instance(inst, args.out)
     print(f"wrote {args.out} (kind={inst.kind}, n={inst.n}, d={inst.d})")
     return 0
@@ -107,18 +99,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load(args.instance)
-    try:
-        params = engine.SolverParams(p=args.p, divisor_mode=args.divisor,
-                                     penalty=args.penalty, pure_alg2=args.pure_alg2)
-        # opened first: a trace path that cannot be written costs no run
-        with (open(args.trace, "w", encoding="utf-8") if args.trace
-              else contextlib.nullcontext()) as trace_file:
-            outcome, traces = engine.run(inst, args.algo, params,
-                                         seed=args.seed, round_budget=args.rounds)
-            if trace_file:
-                engine.write_trace(traces, trace_file)
-    except ValueError as e:
-        raise CommandError(str(e)) from e
+    params = engine.SolverParams(p=args.p, divisor_mode=args.divisor,
+                                 penalty=args.penalty, pure_alg2=args.pure_alg2)
+    if args.trace:
+        # a path that cannot be written costs no run; append keeps an old
+        # trace intact until a run has succeeded
+        open(args.trace, "a", encoding="utf-8").close()
+    outcome, traces = engine.run(inst, args.algo, params,
+                                 seed=args.seed, round_budget=args.rounds)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as trace_file:
+            engine.write_trace(traces, trace_file)
     print(f"algorithm: {args.algo}")
     print(f"assignment: {' '.join(str(v) for v in outcome.assignment)}")
     print(f"satisfied: {'true' if outcome.satisfied else 'false'}")
@@ -135,23 +126,20 @@ def _cmd_oracle(args) -> int:
     try:
         result = oracle.exact_optimum(inst)
     except ValueError as e:
-        raise CommandError(f"{args.instance}: {e}") from e
+        raise ValueError(f"{args.instance}: {e}") from e
     print(f"assignment: {' '.join(str(v) for v in result.assignment)}")
     print(f"cost: {result.cost:.6g}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        cfg = experiments.SweepConfig(
-            densities=tuple(float(x) for x in args.densities.split(",")),
-            instances_per_cell=args.instances, n=args.agents, d=args.values,
-            algorithms=tuple(args.algos.split(",")),
-            solver_params=engine.SolverParams(p=args.p, penalty=args.penalty),
-            master_seed=args.seed, round_budget=args.rounds)
-        rows = experiments.run_sweep(cfg)
-    except ValueError as e:
-        raise CommandError(str(e)) from e
+    cfg = experiments.SweepConfig(
+        densities=tuple(float(x) for x in args.densities.split(",")),
+        instances_per_cell=args.instances, n=args.agents, d=args.values,
+        algorithms=tuple(args.algos.split(",")),
+        solver_params=engine.SolverParams(p=args.p, penalty=args.penalty),
+        master_seed=args.seed, round_budget=args.rounds)
+    rows = experiments.run_sweep(cfg)
     csv_path, summary_path = experiments.write_outputs(rows, args.out_dir)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     print(f"wrote {summary_path}")
@@ -209,7 +197,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except CommandError as e:
+    except ValueError as e:     # a rejected input, its message names the field
         message = str(e)
     except OSError as e:        # a file or directory that cannot be used
         message = f"{e.filename}: {e.strerror}"

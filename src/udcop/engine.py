@@ -202,7 +202,7 @@ def check_run_inputs(params: SolverParams, domains: Sequence[Sequence[int]], rou
     """Reject run inputs that agents with these `domains` cannot use, naming the
     field (and the round and agent); a W `penalty` of None skips its share check."""
     if round_budget < 1:
-        raise ValueError(f"round_budget ≥ 1 required, got {round_budget}")
+        raise ValueError(f"round_budget: must be ≥ 1, got {round_budget}")
     n = len(domains)
     # A share of 0 makes disagreement free in every evaluation, and the
     # breakout pair's weight rule (see solvers.dbo_resolve) needs it above 0.
@@ -236,7 +236,7 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     Returns the outcome plus one trace record per executed round.
     """
     if solver not in SOLVER_KINDS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVER_KINDS}")
+        raise ValueError(f"solver: unknown solver {solver!r}; expected one of {SOLVER_KINDS}")
     params = params or SolverParams()
     n = inst.n
     penalty = inst.finite_penalty(params.penalty)

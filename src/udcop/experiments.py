@@ -51,13 +51,19 @@ class SweepConfig:
     round_budget: int = DEFAULT_ROUND_BUDGET
 
     def __post_init__(self):
-        if not self.densities or not self.algorithms:
-            raise ValueError("densities and algorithms must be non-empty")
+        if not self.densities:
+            raise ValueError("densities: must be non-empty")
+        # a repeated density would pool two cells' runs into one summary row
+        if len(set(self.densities)) < len(self.densities):
+            raise ValueError(f"densities: each value may appear once, got {self.densities}")
+        if not self.algorithms:
+            raise ValueError("algorithms: must be non-empty")
         if self.instances_per_cell < 1:
-            raise ValueError("instances_per_cell ≥ 1 required")
+            raise ValueError(f"instances_per_cell: must be ≥ 1, got {self.instances_per_cell}")
         unknown = [a for a in self.algorithms if a not in SOLVER_KINDS]
         if unknown:
-            raise ValueError(f"unknown algorithms {unknown}; expected {SOLVER_KINDS}")
+            raise ValueError(f"algorithms: unknown algorithms {unknown}; "
+                             f"expected {SOLVER_KINDS}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms: each name may appear once, got {self.algorithms}")
         for density in self.densities:

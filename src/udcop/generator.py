@@ -43,16 +43,18 @@ class GenConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n ≥ 1 required, got {self.n}")
+            raise ValueError(f"n: must be ≥ 1, got {self.n}")
         if self.d < 1:
-            raise ValueError(f"d ≥ 1 required, got {self.d}")
+            raise ValueError(f"d: must be ≥ 1, got {self.d}")
         if not 0.0 <= self.density <= 1.0:
-            raise ValueError(f"density must lie in [0, 1], got {self.density}")
-        if self.cost_max < 0 or self.privacy_max < 0:
-            raise ValueError("cost_max and privacy_max must be ≥ 0")
+            raise ValueError(f"density: must lie in [0, 1], got {self.density}")
+        if self.cost_max < 0:
+            raise ValueError(f"cost_max: must be ≥ 0, got {self.cost_max}")
+        if self.privacy_max < 0:
+            raise ValueError(f"privacy_max: must be ≥ 0, got {self.privacy_max}")
         check_seed(self.seed, "seed")
         if self.kind not in GENERATED_KINDS:
-            raise ValueError(f"kind must be {' or '.join(map(repr, GENERATED_KINDS))}, "
+            raise ValueError(f"kind: must be {' or '.join(map(repr, GENERATED_KINDS))}, "
                              f"got {self.kind!r}")
 
 

@@ -17,6 +17,13 @@ from udcop.model import instance_to_json, load_instance
 from udcop.presets import three_student_meeting
 
 
+def _src_env() -> dict:
+    """The environment of a child Python that imports udcop from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_gen_writes_valid_instance(tmp_path, capsys):
     out = tmp_path / "inst.json"
     code = main(["gen", "--agents", "6", "--values", "5", "--density", "0.4",
@@ -119,6 +126,41 @@ def test_unwritable_trace_path_fails_before_the_run(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == f"udcop: error: {trace}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rounds", "0"], "round_budget: must be ≥ 1, got 0"),
+    (["--seed", "-1"], "seed: must be a 64-bit non-negative integer, got -1"),
+], ids=["rounds-0", "seed-negative"])
+def test_rejected_solve_keeps_an_existing_trace(flags, message, tmp_path, capsys):
+    # the trace records what a run revealed; a run that never happened
+    # must not wipe the record of one that did
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "3", "--values", "3", "--density", "0.5",
+          "--seed", "1", "--out", str(inst_path)])
+    trace = tmp_path / "t.tsv"
+    assert main(["solve", "--in", str(inst_path), "--algo", "dsau",
+                 "--trace", str(trace)]) == 0
+    before = trace.read_bytes()
+    assert before.startswith(b"round\tagent")
+    capsys.readouterr()
+    code = main(["solve", "--in", str(inst_path), "--algo", "dsau", *flags,
+                 "--trace", str(trace)])
+    assert code == 2
+    assert capsys.readouterr().err == f"udcop: error: {message}\n"
+    assert trace.read_bytes() == before
+
+
+def test_rejected_input_through_the_module_entry_point(tmp_path):
+    out = tmp_path / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "udcop.cli", "gen", "--agents", "0",
+                           "--values", "3", "--density", "0.5", "--seed", "1",
+                           "--out", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "udcop: error: n: must be ≥ 1, got 0\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_bad_p_fails_before_the_first_sweep_cell(tmp_path, capsys, monkeypatch):
     def no_sweep(cfg):
         raise AssertionError("run_sweep called")
@@ -131,15 +173,16 @@ def test_bad_p_fails_before_the_first_sweep_cell(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--rounds", "0"], "round_budget ≥ 1 required, got 0"),
+    (["--rounds", "0"], "round_budget: must be ≥ 1, got 0"),
     (["--penalty", "5e-324"],
      "penalty: the per-pair share W/(n-1) of the disagreement penalty W is 0 at n=10"),
-    (["--densities", "0.1,0.2,0.3,0.4,5"], "density must lie in [0, 1], got 5.0"),
-    (["--agents", "0"], "n ≥ 1 required, got 0"),
+    (["--densities", "0.1,0.2,0.3,0.4,5"], "density: must lie in [0, 1], got 5.0"),
+    (["--densities", "0.3,0.3"], "densities: each value may appear once, got (0.3, 0.3)"),
+    (["--agents", "0"], "n: must be ≥ 1, got 0"),
     (["--algos", "dsa,dsa"], "algorithms: each name may appear once, got ('dsa', 'dsa')"),
     (["--seed", "-1"], "master_seed: must be a 64-bit non-negative integer, got -1"),
-], ids=["rounds-0", "penalty-share-0", "density-5", "agents-0", "repeated-algo",
-        "seed-negative"])
+], ids=["rounds-0", "penalty-share-0", "density-5", "repeated-density", "agents-0",
+        "repeated-algo", "seed-negative"])
 def test_bad_sweep_input_fails_before_the_first_cell(flags, message, tmp_path, capsys,
                                                      monkeypatch):
     def no_generate(cfg):
@@ -279,9 +322,6 @@ def test_sweep_command(tmp_path, capsys):
 def test_import_does_not_load_scipy_stats():
     # only the sweep's confidence intervals need scipy, and then only
     # scipy.special, not the much larger scipy.stats
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, udcop.cli\n"
             "from udcop.experiments import MetricsRow, aggregate\n"
             "print('scipy' in sys.modules)\n"
@@ -289,6 +329,6 @@ def test_import_does_not_load_scipy_stats():
             " for s in (1, 2)])\n"
             "print('scipy.stats' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]

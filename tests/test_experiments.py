@@ -162,25 +162,29 @@ def test_write_outputs_round_trip(tmp_path, small_rows):
 
 
 def test_bad_configs_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^densities: must be non-empty$"):
         SweepConfig(densities=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^algorithms: must be non-empty$"):
+        SweepConfig(algorithms=())
+    with pytest.raises(ValueError, match="^instances_per_cell: must be ≥ 1, got 0$"):
         SweepConfig(instances_per_cell=0)
-    with pytest.raises(ValueError, match="unknown algorithms"):
+    with pytest.raises(ValueError, match="^algorithms: unknown algorithms"):
         SweepConfig(densities=(0.1,), instances_per_cell=1, algorithms=("nope",))
 
 
 @pytest.mark.parametrize("fields, message", [
     (dict(algorithms=("dsa", "dsa")),
      "algorithms: each name may appear once, got ('dsa', 'dsa')"),
-    (dict(round_budget=0), "round_budget ≥ 1 required, got 0"),
+    (dict(round_budget=0), "round_budget: must be ≥ 1, got 0"),
     (dict(solver_params=SolverParams(penalty=5e-324)),
      "penalty: the per-pair share W/(n-1) of the disagreement penalty W is 0 at n=10"),
-    (dict(densities=(0.1, 0.2, 0.3, 0.4, 5.0)), "density must lie in [0, 1], got 5.0"),
-    (dict(n=0), "n ≥ 1 required, got 0"),
-    (dict(d=0), "d ≥ 1 required, got 0"),
-    (dict(kind="dcop"), "kind must be 'udcop' or 'udcoppc', got 'dcop'"),
-], ids=["repeated-algorithm", "rounds-0", "share-0", "density-5", "n-0", "d-0", "kind-dcop"])
+    (dict(densities=(0.1, 0.2, 0.3, 0.4, 5.0)), "density: must lie in [0, 1], got 5.0"),
+    (dict(densities=(0.3, 0.3)), "densities: each value may appear once, got (0.3, 0.3)"),
+    (dict(n=0), "n: must be ≥ 1, got 0"),
+    (dict(d=0), "d: must be ≥ 1, got 0"),
+    (dict(kind="dcop"), "kind: must be 'udcop' or 'udcoppc', got 'dcop'"),
+], ids=["repeated-algorithm", "rounds-0", "share-0", "density-5", "repeated-density",
+        "n-0", "d-0", "kind-dcop"])
 def test_config_checks_itself(fields, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SweepConfig(**fields)

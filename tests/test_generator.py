@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -66,15 +67,18 @@ def test_udcoppc_keys_are_constraint_ids():
     assert replace(inst, kind="udcop") == twin
 
 
-@pytest.mark.parametrize("bad", [
-    dict(n=0, d=5, density=0.5, seed=1),
-    dict(n=5, d=0, density=0.5, seed=1),
-    dict(n=5, d=5, density=1.5, seed=1),
-    dict(n=5, d=5, density=0.5, seed=-1),
-    dict(n=5, d=5, density=0.5, seed=1, cost_max=-2),
-    dict(n=5, d=5, density=0.5, seed=1, kind="dcop"),
-])
-def test_invalid_configs_rejected(bad):
-    # a GenConfig checks itself, so a bad one never reaches generate
-    with pytest.raises(ValueError):
-        GenConfig(**bad)
+@pytest.mark.parametrize("bad, message", [
+    (dict(n=0), "n: must be ≥ 1, got 0"),
+    (dict(d=0), "d: must be ≥ 1, got 0"),
+    (dict(density=1.5), "density: must lie in [0, 1], got 1.5"),
+    (dict(seed=-1), "seed: must be a 64-bit non-negative integer, got -1"),
+    (dict(cost_max=-2), "cost_max: must be ≥ 0, got -2"),
+    (dict(privacy_max=-1), "privacy_max: must be ≥ 0, got -1"),
+    (dict(kind="dcop"), "kind: must be 'udcop' or 'udcoppc', got 'dcop'"),
+], ids=["n-0", "d-0", "density-1.5", "seed-negative", "cost-max-negative",
+        "privacy-max-negative", "kind-dcop"])
+def test_invalid_configs_rejected(bad, message):
+    # a GenConfig checks itself, so a bad one never reaches generate, and
+    # its message starts with the field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GenConfig(**{**dict(n=5, d=5, density=0.5, seed=1), **bad})
