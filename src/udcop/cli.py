@@ -8,6 +8,7 @@ takes the one path in `main` to exit 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from udcop import engine, experiments, oracle, presets
@@ -101,12 +102,19 @@ def _cmd_solve(args) -> int:
     inst = _load(args.instance)
     params = engine.SolverParams(p=args.p, divisor_mode=args.divisor,
                                  penalty=args.penalty, pure_alg2=args.pure_alg2)
+    created = False
     if args.trace:
         # a path that cannot be written costs no run; append keeps an old
         # trace intact until a run has succeeded
+        created = not os.path.lexists(args.trace)
         open(args.trace, "a", encoding="utf-8").close()
-    outcome, traces = engine.run(inst, args.algo, params,
-                                 seed=args.seed, round_budget=args.rounds)
+    try:
+        outcome, traces = engine.run(inst, args.algo, params,
+                                     seed=args.seed, round_budget=args.rounds)
+    except ValueError:
+        if created:     # a rejected run leaves no empty trace behind
+            os.remove(args.trace)
+        raise
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as trace_file:
             engine.write_trace(traces, trace_file)
@@ -132,9 +140,17 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _parse_densities(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"densities: expected numbers separated by commas, "
+                         f"got {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
     cfg = experiments.SweepConfig(
-        densities=tuple(float(x) for x in args.densities.split(",")),
+        densities=_parse_densities(args.densities),
         instances_per_cell=args.instances, n=args.agents, d=args.values,
         algorithms=tuple(args.algos.split(",")),
         solver_params=engine.SolverParams(p=args.p, penalty=args.penalty),
@@ -160,17 +176,17 @@ def _print_rounds(traces, label: str) -> None:
 
 def _cmd_trace_example(args) -> int:
     inst = presets.three_student_meeting()
-    params = presets.scripted_meeting_params()
+    seed = presets.MEETING_SEED
     if args.variant == "dsau":
-        outcome, traces = engine.run(inst, "dsau", params, seed=0, round_budget=10)
+        outcome, traces = engine.run(inst, "dsau", seed=seed, round_budget=10)
         _print_rounds(traces, "privacy-aware stochastic search")
         print(f"final assignment: ({', '.join(str(v) for v in outcome.assignment)})")
         utils = outcome.per_agent_utilities
         print("final per-agent utilities: " + ", ".join(format_float(u) for u in utils))
         return 0
 
-    udcop_outcome, _ = engine.run(inst, "dsau", params, seed=0, round_budget=2)
-    outcome, traces = engine.run(inst, "molex", params, seed=0, round_budget=2)
+    udcop_outcome, _ = engine.run(inst, "dsau", seed=seed, round_budget=2)
+    outcome, traces = engine.run(inst, "molex", seed=seed, round_budget=2)
     _print_rounds(traces, "lexicographic (privacy, cost) baseline")
     print(f"achieved values: ({', '.join(str(v) for v in outcome.assignment)})")
     print("cumulative privacy: " +

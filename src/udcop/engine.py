@@ -34,7 +34,7 @@ seed) the full trace is reproducible bit for bit: agents only ever observe
 previous-phase state.
 
 An `Instance` and a `SolverParams` each check themselves when they are
-built; a run first checks how they fit, its round budget and its seed
+built; a run first checks its penalty share, round budget and seed
 (`check_run_inputs`, `rng.check_seed`).
 """
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -57,21 +57,17 @@ TRACE_FIELDS = ("round", "agent", "action", "value", "revealed", "charged",
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Tunables shared by all solvers; scripted fields exist for golden traces.
+    """Tunables shared by all solvers.
 
     penalty overrides the finite disagreement penalty W used by local search
-    and metrics (defaults to the instance's surrogate). candidate_script maps
-    round index (0-based) -> {agent: forced candidate} for the solvers that
-    draw their candidate at random. Construction rejects a divisor_mode, p
-    or penalty that no run can use, naming the field.
+    and metrics (defaults to the instance's surrogate). Construction rejects
+    a divisor_mode, p or penalty that no run can use, naming the field.
     """
 
     p: float = 0.6
     divisor_mode: str = "revealed"
     penalty: float | None = None
     pure_alg2: bool = False
-    initial_values: tuple[int, ...] | None = None
-    candidate_script: tuple[Mapping[int, int], ...] = ()
 
     def __post_init__(self):
         if self.divisor_mode not in solvers.DIVISOR_MODES:
@@ -197,35 +193,17 @@ QUIET_ROUNDS_TO_STOP = 2
 DEFAULT_ROUND_BUDGET = 100
 
 
-def check_run_inputs(params: SolverParams, domains: Sequence[Sequence[int]], round_budget: int,
-                     penalty: float | None, penalty_field: str = "penalty") -> None:
-    """Reject run inputs that agents with these `domains` cannot use, naming the
-    field (and the round and agent); a W `penalty` of None skips its share check."""
+def check_run_inputs(n: int, round_budget: int, penalty: float | None,
+                     penalty_field: str = "penalty") -> None:
+    """Reject a round budget or a W `penalty` that a run of `n` agents cannot
+    use, naming the field; a `penalty` of None skips its share check."""
     if round_budget < 1:
         raise ValueError(f"round_budget: must be ≥ 1, got {round_budget}")
-    n = len(domains)
     # A share of 0 makes disagreement free in every evaluation, and the
     # breakout pair's weight rule (see solvers.dbo_resolve) needs it above 0.
     if penalty is not None and n > 1 and penalty / (n - 1) == 0:
         raise ValueError(f"{penalty_field}: the per-pair share W/(n-1) of the "
                          f"disagreement penalty W is 0 at n={n}")
-    if params.initial_values is not None:
-        if len(params.initial_values) != n:
-            raise ValueError(f"initial_values: expected {n} values, one per agent, "
-                             f"got {len(params.initial_values)}")
-        for agent, value in enumerate(params.initial_values):
-            if value not in domains[agent]:
-                raise ValueError(f"initial_values: agent {agent}: value {value} "
-                                 "is outside its domain")
-    for index, scripted in enumerate(params.candidate_script):
-        where = f"candidate_script[{index}] (round {index + 1})"
-        for agent, value in scripted.items():
-            if agent not in range(n):
-                raise ValueError(f"{where}: agent {agent} does not exist "
-                                 f"(agents are 0..{n - 1})")
-            if value not in domains[agent]:
-                raise ValueError(f"{where}: agent {agent}: value {value} "
-                                 "is outside its domain")
 
 
 def run(inst: Instance, solver: str, params: SolverParams | None = None,
@@ -240,20 +218,18 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
     params = params or SolverParams()
     n = inst.n
     penalty = inst.finite_penalty(params.penalty)
-    check_run_inputs(params, inst.domains, round_budget, penalty,
+    check_run_inputs(n, round_budget, penalty,
                      "global.penalty" if params.penalty is None else "penalty")
     check_seed(seed, "seed")
     tables = solvers.stack_contexts([build_agent_context(inst, i) for i in range(n)],
                                     penalty, params.divisor_mode, not params.pure_alg2)
 
     rngs = [agent_stream(seed, STREAM_SOLVER, i) for i in range(n)]
-    values = (solvers.draw_values(tables, rngs) if params.initial_values is None
-              else np.array(params.initial_values, dtype=np.int64))
+    values = solvers.draw_values(tables, rngs)
     ledger = RevealLedger(tables)
     pending = np.ones(n, dtype=bool)             # value announcements queued
     breakout = (solvers.new_breakout_state(values) if solver in ("dbo", "dbou")
                 else None)
-    script = params.candidate_script
 
     traces: list[RoundTrace] = []
     messages = 0
@@ -278,14 +254,13 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
             messages += (n - 1) * n              # every agent sends its offer
 
         # step
-        scripted = script[rnd - 1] if rnd - 1 < len(script) else None
         weights_changed = False
         if solver == "dsa":
             res = solvers.dsa_step(tables, values, params.p, rngs)
         elif solver == "dsau":
-            res = solvers.dsau_step(tables, values, ledger.revealed, rngs, scripted)
+            res = solvers.dsau_step(tables, values, ledger.revealed, rngs)
         elif solver == "molex":
-            res = solvers.modcop_dsa_step(tables, values, rngs, scripted)
+            res = solvers.modcop_dsa_step(tables, values, rngs)
         elif value_round:
             res = solvers.dbo_send_improve(breakout, tables, values, ledger.revealed,
                                            gate_estimates=solver == "dbou")

@@ -68,9 +68,7 @@ class SweepConfig:
             raise ValueError(f"algorithms: each name may appear once, got {self.algorithms}")
         for density in self.densities:
             self.gen_config(density)
-        # every generated agent has the domain 1..d
-        check_run_inputs(self.solver_params, (range(1, self.d + 1),) * self.n,
-                         self.round_budget, self.solver_params.penalty)
+        check_run_inputs(self.n, self.round_budget, self.solver_params.penalty)
         check_seed(self.master_seed, "master_seed")
 
     def gen_config(self, density: float, seed: int = 0) -> GenConfig:

@@ -31,7 +31,7 @@ table and the domain sizes once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,16 +131,10 @@ def local_eval_all(tables: AgentTables, values: np.ndarray,
                                      weights.keys, weights.counts)
 
 
-def draw_values(tables: AgentTables, rngs: Sequence[np.random.Generator],
-                scripted: Mapping[int, int] | None = None) -> np.ndarray:
-    """int64[n]: `scripted[i]` where given, else a uniform draw from agent
-    i's domain on agent i's own stream."""
-    scripted = scripted or {}
-    out = []
-    for i, (dom, rng) in enumerate(zip(tables.domains, rngs)):
-        value = scripted.get(i)
-        out.append(dom[int(rng.integers(0, len(dom)))] if value is None else value)
-    return np.array(out, dtype=np.int64)
+def draw_values(tables: AgentTables, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """int64[n]: a uniform draw from each agent's domain on its own stream."""
+    return np.array([dom[int(rng.integers(0, len(dom)))]
+                     for dom, rng in zip(tables.domains, rngs)], dtype=np.int64)
 
 
 def _at(table: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -235,16 +229,15 @@ def dsa_step(tables: AgentTables, values: np.ndarray, p: float,
 
 
 def dsau_step(tables: AgentTables, values: np.ndarray, revealed: np.ndarray,
-              rngs: Sequence[np.random.Generator],
-              scripted: Mapping[int, int] | None = None) -> StepResult:
-    """Each agent considers one uniformly drawn (or scripted) candidate and
+              rngs: Sequence[np.random.Generator]) -> StepResult:
+    """Each agent considers one uniformly drawn candidate and
     adopts it only when revealing it strictly lowers the cost estimate.
 
     With the conflict guard (default) the candidate must additionally not
     worsen the local evaluation against the current values; pure
     estimate-only behavior is available via conflict_guard=False.
     """
-    candidate = draw_values(tables, rngs, scripted)
+    candidate = draw_values(tables, rngs)
     est_cur = _estimate(tables, revealed)
     est_next = _estimate(tables, _also_revealing(revealed, candidate))
     change = est_next < est_cur
@@ -267,10 +260,9 @@ def mo_lex_compare(candidate_pair, current_pair):
 
 
 def modcop_dsa_step(tables: AgentTables, values: np.ndarray,
-                    rngs: Sequence[np.random.Generator],
-                    scripted: Mapping[int, int] | None = None) -> StepResult:
+                    rngs: Sequence[np.random.Generator]) -> StepResult:
     """Adopt a uniformly drawn candidate iff its pair wins lexicographically."""
-    candidate = draw_values(tables, rngs, scripted)
+    candidate = draw_values(tables, rngs)
     cur = (_at(tables.privacy, values), _at(tables.unary, values))
     cand = (_at(tables.privacy, candidate), _at(tables.unary, candidate))
     return StepResult(mo_lex_compare(cand, cur), candidate,

@@ -122,8 +122,8 @@ def dsa(a: Agent, ids, vals, p):
     return nxt < cur and a.rng.random() < p, cand, cur, nxt
 
 
-def dsau(a: Agent, ids, vals, scripted):
-    cand = scripted if scripted is not None else a.draw()
+def dsau(a: Agent, ids, vals):
+    cand = a.draw()
     cur = estimate(a.ctx, a.revealed)
     nxt = estimate(a.ctx, a.revealed | {cand})
     change = nxt < cur
@@ -133,8 +133,8 @@ def dsau(a: Agent, ids, vals, scripted):
     return change, cand, cur, nxt
 
 
-def molex(a: Agent, scripted):
-    cand = scripted if scripted is not None else a.draw()
+def molex(a: Agent):
+    cand = a.draw()
     cur = (a.ctx.privacy_map.get(a.value, 0.0), a.ctx.unary_map.get(a.value, 0.0))
     nxt = (a.ctx.privacy_map.get(cand, 0.0), a.ctx.unary_map.get(cand, 0.0))
     better = nxt[0] < cur[0] if nxt[0] != cur[0] else nxt[1] < cur[1]
@@ -182,10 +182,7 @@ def run_reference(inst, solver, params, seed=0, round_budget=100):
     for i in range(n):
         ctx = make_ctx(inst, i, params)
         rng = agent_stream(seed, STREAM_SOLVER, i)
-        if params.initial_values is not None:
-            value = params.initial_values[i]
-        else:
-            value = ctx.domain_values[int(rng.integers(0, len(ctx.domain_values)))]
+        value = ctx.domain_values[int(rng.integers(0, len(ctx.domain_values)))]
         agents.append(Agent(ctx, rng, value))
         if breakout:
             agents[i].weights = np.ones((n, inst.d, inst.d), dtype=np.int64)
@@ -211,18 +208,16 @@ def run_reference(inst, solver, params, seed=0, round_budget=100):
         for i in senders:
             heard[i] = agents[i].value - 1
         offers = [a.my_improve for a in agents]
-        script = params.candidate_script
         results, any_weight = [], False
         for i, a in enumerate(agents):
             ids = [j for j in range(n) if j != i]
             vals = [heard[j] for j in ids]
-            scripted = script[rnd - 1].get(i) if rnd - 1 < len(script) else None
             if solver == "dsa":
                 res = dsa(a, ids, vals, params.p)
             elif solver == "dsau":
-                res = dsau(a, ids, vals, scripted)
+                res = dsau(a, ids, vals)
             elif solver == "molex":
-                res = molex(a, scripted)
+                res = molex(a)
             elif value_round:
                 res = dbo_offer(a, ids, vals, solver == "dbou")
             else:

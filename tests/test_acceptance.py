@@ -18,7 +18,7 @@ from udcop.experiments import SweepConfig, aggregate, rows_to_csv, run_sweep
 from udcop.generator import GenConfig, generate
 from udcop.model import solution_cost
 from udcop.oracle import exact_optimum_dms, exact_optimum_enum
-from udcop.presets import scripted_meeting_params, three_student_meeting
+from udcop.presets import MEETING_SEED, three_student_meeting
 from udcop.rng import round_half_up
 
 
@@ -49,7 +49,7 @@ def stochastic_pair_sweep():
 def test_c1_worked_example_trace():
     start = time.perf_counter()
     outcome, traces = run(three_student_meeting(), "dsau",
-                          scripted_meeting_params(), seed=0, round_budget=10)
+                          SolverParams(), seed=MEETING_SEED, round_budget=10)
     elapsed = time.perf_counter() - start
     first = traces[0]
     assert first.est_current == pytest.approx((150.0, 220.0, 240.0), abs=1e-9)
@@ -83,9 +83,9 @@ def test_c2_estimate_values():
 def test_c3_lex_comparison_trace():
     start = time.perf_counter()
     outcome, _ = run(three_student_meeting(), "molex",
-                     scripted_meeting_params(), seed=0, round_budget=2)
+                     SolverParams(), seed=MEETING_SEED, round_budget=2)
     value_based, _ = run(three_student_meeting(), "dsau",
-                         scripted_meeting_params(), seed=0, round_budget=2)
+                         SolverParams(), seed=MEETING_SEED, round_budget=2)
     elapsed = time.perf_counter() - start
     assert outcome.assignment == (2, 3, 3)
     assert outcome.per_agent_privacy == pytest.approx((100.0, 110.0, 10.0), abs=1e-9)

@@ -149,6 +149,23 @@ def test_rejected_solve_keeps_an_existing_trace(flags, message, tmp_path, capsys
     assert trace.read_bytes() == before
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rounds", "0"], "round_budget: must be ≥ 1, got 0"),
+    (["--seed", "-1"], "seed: must be a 64-bit non-negative integer, got -1"),
+], ids=["rounds-0", "seed-negative"])
+def test_rejected_solve_leaves_no_new_trace(flags, message, tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "3", "--values", "3", "--density", "0.5",
+          "--seed", "1", "--out", str(inst_path)])
+    capsys.readouterr()
+    trace = tmp_path / "new.tsv"
+    code = main(["solve", "--in", str(inst_path), "--algo", "dsau", *flags,
+                 "--trace", str(trace)])
+    assert code == 2
+    assert capsys.readouterr().err == f"udcop: error: {message}\n"
+    assert not trace.exists()
+
+
 def test_rejected_input_through_the_module_entry_point(tmp_path):
     out = tmp_path / "x.json"
     proc = subprocess.run([sys.executable, "-m", "udcop.cli", "gen", "--agents", "0",
@@ -181,8 +198,13 @@ def test_bad_p_fails_before_the_first_sweep_cell(tmp_path, capsys, monkeypatch):
     (["--agents", "0"], "n: must be ≥ 1, got 0"),
     (["--algos", "dsa,dsa"], "algorithms: each name may appear once, got ('dsa', 'dsa')"),
     (["--seed", "-1"], "master_seed: must be a 64-bit non-negative integer, got -1"),
+    (["--densities", "abc"],
+     "densities: expected numbers separated by commas, got 'abc'"),
+    (["--densities", "0.1,"],
+     "densities: expected numbers separated by commas, got '0.1,'"),
 ], ids=["rounds-0", "penalty-share-0", "density-5", "repeated-density", "agents-0",
-        "repeated-algo", "seed-negative"])
+        "repeated-algo", "seed-negative", "densities-not-numbers",
+        "densities-trailing-comma"])
 def test_bad_sweep_input_fails_before_the_first_cell(flags, message, tmp_path, capsys,
                                                      monkeypatch):
     def no_generate(cfg):

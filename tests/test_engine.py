@@ -10,8 +10,9 @@ from udcop.engine import RevealLedger, SolverParams, format_trace, metrics, run
 from udcop.generator import GenConfig, generate
 from udcop.model import (KINDS, Instance, InstanceValidationError,
                          instance_from_json, instance_to_json)
-from udcop.presets import scripted_meeting_params, three_student_meeting
-from udcop.solvers import SOLVER_KINDS, build_agent_context, stack_contexts
+from udcop.presets import MEETING_SEED, three_student_meeting
+from udcop.rng import STREAM_SOLVER, agent_stream
+from udcop.solvers import SOLVER_KINDS, build_agent_context, draw_values, stack_contexts
 
 MEETING = three_student_meeting()
 
@@ -52,12 +53,19 @@ class TestRevealLedger:
         assert not ledger.revealed.any() and ledger.cum == [0.0, 0.0]
 
 
-class TestScriptedMeetingRun:
-    """The bundled instance with start (1,1,3) and candidates (2,3,1)."""
+class TestMeetingRun:
+    """The bundled instance on MEETING_SEED: start (1,1,3), candidates (2,3,1)."""
+
+    def test_meeting_seed_draws_the_worked_example(self):
+        tables = stack_contexts([build_agent_context(MEETING, i) for i in range(3)],
+                                MEETING.finite_penalty())
+        streams = [agent_stream(MEETING_SEED, STREAM_SOLVER, i) for i in range(3)]
+        assert draw_values(tables, streams).tolist() == [1, 1, 3]     # the start
+        assert draw_values(tables, streams).tolist() == [2, 3, 1]     # round 1
 
     def test_privacy_aware_run_reaches_agreement(self):
-        outcome, traces = run(MEETING, "dsau", scripted_meeting_params(),
-                              seed=0, round_budget=10)
+        outcome, traces = run(MEETING, "dsau", SolverParams(),
+                              seed=MEETING_SEED, round_budget=10)
         assert outcome.assignment == (1, 1, 1)
         assert outcome.satisfied
         first = traces[0]
@@ -67,12 +75,12 @@ class TestScriptedMeetingRun:
         assert outcome.per_agent_utilities == pytest.approx((150.0, 220.0, 130.0))
 
     def test_lex_baseline_reveals_more(self):
-        outcome, _ = run(MEETING, "molex", scripted_meeting_params(),
-                         seed=0, round_budget=2)
+        outcome, _ = run(MEETING, "molex", SolverParams(),
+                         seed=MEETING_SEED, round_budget=2)
         assert outcome.assignment == (2, 3, 3)
         assert outcome.per_agent_privacy == pytest.approx((100.0, 110.0, 10.0))
-        udcop_outcome, _ = run(MEETING, "dsau", scripted_meeting_params(),
-                               seed=0, round_budget=2)
+        udcop_outcome, _ = run(MEETING, "dsau", SolverParams(),
+                               seed=MEETING_SEED, round_budget=2)
         assert outcome.per_agent_privacy[1] - udcop_outcome.per_agent_privacy[1] \
             == pytest.approx(10.0)
 
@@ -112,37 +120,10 @@ class TestRunBasics:
                          round_budget=500)
         assert outcome.rounds < 500
 
-    @pytest.mark.parametrize("initial", [(1, 1), (1, 1, 1, 1)])
-    def test_initial_values_of_wrong_length_rejected(self, initial):
-        with pytest.raises(ValueError, match="expected 3 values"):
-            run(MEETING, "dsa", SolverParams(initial_values=initial), seed=0,
-                round_budget=5)
-
     @pytest.mark.parametrize("solver", SOLVER_KINDS)
     def test_unknown_divisor_mode_rejected(self, solver):
         with pytest.raises(ValueError, match="divisor_mode"):
             run(MEETING, solver, SolverParams(divisor_mode="mean"), seed=0,
-                round_budget=5)
-
-    @pytest.mark.parametrize("script, message", [
-        ({0: 7}, r"candidate_script\[1\] \(round 2\): agent 0: value 7"),
-        ({5: 1}, r"candidate_script\[1\] \(round 2\): agent 5 does not exist"),
-    ])
-    def test_bad_candidate_script_rejected(self, script, message):
-        params = SolverParams(candidate_script=({0: 1}, script))
-        for solver in ("dsau", "molex"):
-            with pytest.raises(ValueError, match=message):
-                run(MEETING, solver, params, seed=0, round_budget=5)
-
-    def test_scripted_value_outside_restricted_domain_rejected(self):
-        inst = Instance(kind="udcop", n=2, d=3, domains=((1, 3), (1, 2, 3)),
-                        unary=({}, {}), privacy=({1: 1.0, 3: 1.0},
-                                                 {1: 1.0, 2: 1.0, 3: 1.0}))
-        params = SolverParams(candidate_script=({0: 2},))
-        with pytest.raises(ValueError, match=r"round 1\): agent 0: value 2 is outside"):
-            run(inst, "dsau", params, seed=0, round_budget=5)
-        with pytest.raises(ValueError, match="initial_values: agent 0: value 2"):
-            run(inst, "dsa", SolverParams(initial_values=(2, 2)), seed=0,
                 round_budget=5)
 
     @pytest.mark.parametrize("solver", SOLVER_KINDS)
@@ -220,14 +201,15 @@ class TestRunInvariants:
 
 class TestValueVisibilityDelay:
     def test_neighbors_react_to_previous_round_value(self):
-        # two agents starting apart, both forced to move in round 1: each
-        # reacts to the other's round-1 value, so they swap rather than meet
+        # two agents starting apart (seed 4 draws the start (1, 2)), both
+        # moving in round 1: each reacts to the other's round-1 value, so
+        # they swap rather than meet
         inst = Instance(
             kind="udcop", n=2, d=2, domains=((1, 2), (1, 2)),
             unary=({}, {}), privacy=({1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0}),
             penalty=100.0)
-        params = SolverParams(p=1.0, initial_values=(1, 2))
-        _, traces = run(inst, "dsa", params, seed=0, round_budget=1)
+        _, traces = run(inst, "dsa", SolverParams(p=1.0), seed=4, round_budget=1)
+        assert traces[0].revealed == ((1,), (2,))
         assert traces[0].values == (2, 1)
 
 
@@ -262,8 +244,8 @@ class TestMetrics:
 
 class TestTraceFormat:
     def test_header_and_shape(self):
-        _, traces = run(MEETING, "dsau", scripted_meeting_params(),
-                        seed=0, round_budget=10)
+        _, traces = run(MEETING, "dsau", SolverParams(),
+                        seed=MEETING_SEED, round_budget=10)
         text = format_trace(traces)
         lines = text.strip().split("\n")
         assert lines[0].split("\t") == [
@@ -274,8 +256,8 @@ class TestTraceFormat:
 
     def test_udcoppc_entries_in_trace(self):
         inst = three_student_meeting("udcoppc")
-        _, traces = run(inst, "dsau", scripted_meeting_params(),
-                        seed=0, round_budget=4)
+        _, traces = run(inst, "dsau", SolverParams(),
+                        seed=MEETING_SEED, round_budget=4)
         text = format_trace(traces)
         assert "c1" in text and "c3" in text
 

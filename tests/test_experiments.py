@@ -5,7 +5,6 @@ from dataclasses import fields
 
 import pytest
 
-from udcop import experiments
 from udcop.engine import Outcome, SolverParams
 from udcop.experiments import (CSV_HEADER, MetricsRow, SweepConfig, aggregate,
                                row_seed, rows_to_csv, run_sweep,
@@ -193,20 +192,3 @@ def test_config_checks_itself(fields, message):
 def test_a_single_agent_has_no_penalty_share_to_check():
     # with one agent there is no pair to share W, as in engine.run
     SweepConfig(n=1, solver_params=SolverParams(penalty=5e-324))
-
-
-@pytest.mark.parametrize("params, message", [
-    (SolverParams(initial_values=(1, 2)),
-     "initial_values: expected 10 values, one per agent, got 2"),
-    (SolverParams(candidate_script=({0: 1}, {3: 11})),
-     "candidate_script[1] (round 2): agent 3: value 11 is outside its domain"),
-    (SolverParams(candidate_script=({10: 1},)),
-     "candidate_script[0] (round 1): agent 10 does not exist (agents are 0..9)"),
-], ids=["initial-values-length", "candidate-above-d", "agent-n"])
-def test_scripted_values_fail_before_the_first_instance(params, message, monkeypatch):
-    def no_generate(cfg):
-        raise AssertionError("experiments.generate called")
-
-    monkeypatch.setattr(experiments, "generate", no_generate)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_sweep(SweepConfig(instances_per_cell=1, solver_params=params))

@@ -47,6 +47,21 @@ def rngs(n, seed=0):
     return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
+class FixedDraw:
+    """Stand-in agent stream whose every draw picks domain index `index`."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def integers(self, low, high):
+        return self.index
+
+
+def draws(*values):
+    """Streams that make agents with the domain 1..d draw `values`."""
+    return [FixedDraw(v - 1) for v in values]
+
+
 def adopted(res, values):
     return np.where(res.change, res.candidate, values)
 
@@ -165,22 +180,20 @@ class TestDsaStep:
 class TestDsauStep:
     def test_moves_when_estimate_drops(self):
         values = arr(1, 1, 3)
-        res = dsau_step(tables_for(), values, mask(3, {1}, {1}, {3}), rngs(3),
-                        scripted={0: 1, 1: 1, 2: 1})
+        res = dsau_step(tables_for(), values, mask(3, {1}, {1}, {3}), draws(1, 1, 1))
         assert res.change[2] and adopted(res, values)[2] == 1
         assert res.est_current[2] == pytest.approx(240.0)
         assert res.est_next[2] == pytest.approx(225.0)
 
     def test_keeps_when_estimate_rises(self):
-        res = dsau_step(tables_for(), arr(1, 1, 3), mask(3, {1}, {1}, {3}), rngs(3),
-                        scripted={0: 2, 1: 1, 2: 3})
+        res = dsau_step(tables_for(), arr(1, 1, 3), mask(3, {1}, {1}, {3}), draws(2, 1, 3))
         assert not res.change[0]
         assert res.est_next[0] == pytest.approx(250.0)
 
     def test_already_revealed_candidate_keeps(self):
         # the revealed set cannot grow, so the estimate cannot drop
-        res = dsau_step(tables_for(), arr(1, 1, 1), mask(3, {1, 2}, {1}, {1}), rngs(3),
-                        scripted={0: 2, 1: 1, 2: 1})
+        res = dsau_step(tables_for(), arr(1, 1, 1), mask(3, {1, 2}, {1}, {1}),
+                        draws(2, 1, 1))
         assert not res.change[0]
         assert res.est_current[0] == res.est_next[0]
 
@@ -194,12 +207,11 @@ class TestDsauStep:
             penalty=1000.0)
         values = arr(1, 1, 1)   # everyone on value 1
         revealed = mask(2, {1}, {1}, {1})
-        script = {0: 2, 1: 1, 2: 1}
         guarded = tables_for(inst)
-        res = dsau_step(guarded, values, revealed, rngs(3), script)
+        res = dsau_step(guarded, values, revealed, draws(2, 1, 1))
         assert not res.change[0]
         pure = tables_for(inst, conflict_guard=False)
-        res = dsau_step(pure, values, revealed, rngs(3), script)
+        res = dsau_step(pure, values, revealed, draws(2, 1, 1))
         assert res.change[0]
 
 
@@ -227,11 +239,11 @@ class TestLexCompare:
 class TestModcopStep:
     def test_second_agent_moves(self):
         values = arr(1, 1, 3)
-        res = modcop_dsa_step(tables_for(), values, rngs(3), {0: 1, 1: 3, 2: 3})
+        res = modcop_dsa_step(tables_for(), values, draws(1, 3, 3))
         assert res.change[1] and adopted(res, values)[1] == 3
 
     def test_third_agent_stays(self):
-        res = modcop_dsa_step(tables_for(), arr(1, 1, 3), rngs(3), {0: 1, 1: 1, 2: 1})
+        res = modcop_dsa_step(tables_for(), arr(1, 1, 3), draws(1, 1, 1))
         assert not res.change[2]
 
 
