@@ -63,6 +63,28 @@ class TestMeetingRun:
         assert draw_values(tables, streams).tolist() == [1, 1, 3]     # the start
         assert draw_values(tables, streams).tolist() == [2, 3, 1]     # round 1
 
+    def test_meeting_seed_draws_the_later_candidates(self):
+        # the draws after round 1 that presets.MEETING_SEED documents
+        tables = stack_contexts([build_agent_context(MEETING, i) for i in range(3)],
+                                MEETING.finite_penalty())
+        streams = [agent_stream(MEETING_SEED, STREAM_SOLVER, i) for i in range(3)]
+        draws = [draw_values(tables, streams).tolist() for _ in range(4)]
+        assert draws[2:] == [[2, 3, 2], [3, 3, 1]]                    # rounds 2, 3
+
+    @pytest.mark.parametrize("kind, solver, budget", [
+        ("udcop", "dsau", 10), ("udcop", "dsau", 2), ("udcop", "molex", 2),
+        ("udcoppc", "dsau", 4),
+    ], ids=["dsau-10", "dsau-2", "molex-2", "udcoppc-dsau-4"])
+    def test_worked_example_matches_the_reference_engine(self, kind, solver, budget):
+        # the per-agent reference draws the worked example from the same seed
+        inst = three_student_meeting(kind)
+        outcome, traces = run(inst, solver, SolverParams(), seed=MEETING_SEED,
+                              round_budget=budget)
+        ref_outcome, ref_traces = run_reference(inst, solver, SolverParams(),
+                                                seed=MEETING_SEED, round_budget=budget)
+        assert outcome == ref_outcome
+        assert traces == ref_traces
+
     def test_privacy_aware_run_reaches_agreement(self):
         outcome, traces = run(MEETING, "dsau", SolverParams(),
                               seed=MEETING_SEED, round_budget=10)
