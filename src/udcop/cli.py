@@ -109,8 +109,8 @@ def _cmd_solve(args) -> int:
         created = not os.path.lexists(args.trace)
         open(args.trace, "a", encoding="utf-8").close()
     try:
-        outcome, traces = engine.run(inst, args.algo, params,
-                                     seed=args.seed, round_budget=args.rounds)
+        outcome, traces = engine.run(inst, args.algo, params, seed=args.seed,
+                                     round_budget=args.rounds, trace=bool(args.trace))
     except ValueError:
         if created:     # a rejected run leaves no empty trace behind
             os.remove(args.trace)
@@ -185,7 +185,7 @@ def _cmd_trace_example(args) -> int:
         print("final per-agent utilities: " + ", ".join(format_float(u) for u in utils))
         return 0
 
-    udcop_outcome, _ = engine.run(inst, "dsau", seed=seed, round_budget=2)
+    udcop_outcome, _ = engine.run(inst, "dsau", seed=seed, round_budget=2, trace=False)
     outcome, traces = engine.run(inst, "molex", seed=seed, round_budget=2)
     _print_rounds(traces, "lexicographic (privacy, cost) baseline")
     print(f"achieved values: ({', '.join(str(v) for v in outcome.assignment)})")

@@ -29,9 +29,13 @@ The breakout solvers alternate value rounds (odd) and improve rounds
 (even), so one of their exchange cycles spans two engine rounds.
 
 A run stops at the round budget or after two consecutive quiet rounds (no
-value adoption and no weight change). Given (instance, solver, params,
-seed) the full trace is reproducible bit for bit: agents only ever observe
-previous-phase state.
+value adoption and no weight change). An untraced breakout run that is
+provably stuck reports its budget-length outcome without simulating the
+idle rounds: while nobody moves, weight rounds raise only each agent's
+evaluation of its current value, so an agent with no offer to make on its
+other values never gets one (`solvers.breakout_stuck`). Given (instance,
+solver, params, seed) the full trace is reproducible bit for bit: agents
+only ever observe previous-phase state.
 
 An `Instance` and a `SolverParams` each check themselves when they are
 built; a run first checks its penalty share, round budget and seed
@@ -207,11 +211,14 @@ def check_run_inputs(n: int, round_budget: int, penalty: float | None,
 
 
 def run(inst: Instance, solver: str, params: SolverParams | None = None,
-        seed: int = 0, round_budget: int = DEFAULT_ROUND_BUDGET
-        ) -> tuple[Outcome, list[RoundTrace]]:
+        seed: int = 0, round_budget: int = DEFAULT_ROUND_BUDGET, *,
+        trace: bool = True) -> tuple[Outcome, list[RoundTrace]]:
     """Simulate one solver on one instance; fully deterministic.
 
-    Returns the outcome plus one trace record per executed round.
+    Returns the outcome plus one trace record per executed round. With
+    ``trace=False`` it records no trace and returns an empty list, and a
+    breakout run that is provably stuck (`solvers.breakout_stuck`) stops
+    simulating and reports the outcome of its idle rounds to the budget.
     """
     if solver not in SOLVER_KINDS:
         raise ValueError(f"solver: unknown solver {solver!r}; expected one of {SOLVER_KINDS}")
@@ -271,19 +278,30 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         values = np.where(res.change, res.candidate, values)
         pending |= res.change
 
-        traces.append(RoundTrace(
-            round=rnd,
-            actions=tuple("change" if c else "keep" for c in res.change.tolist()),
-            values=tuple(values.tolist()),
-            revealed=tuple(new_entries),
-            charged=tuple(charged),
-            est_current=tuple(res.est_current.tolist()),
-            est_next=tuple(res.est_next.tolist()),
-            cum_privacy=tuple(ledger.cum),
-        ))
+        if trace:
+            traces.append(RoundTrace(
+                round=rnd,
+                actions=tuple("change" if c else "keep" for c in res.change.tolist()),
+                values=tuple(values.tolist()),
+                revealed=tuple(new_entries),
+                charged=tuple(charged),
+                est_current=tuple(res.est_current.tolist()),
+                est_next=tuple(res.est_next.tolist()),
+                cum_privacy=tuple(ledger.cum),
+            ))
 
         quiet = quiet + 1 if not (res.change.any() or weights_changed) else 0
         if quiet >= QUIET_ROUNDS_TO_STOP:
+            break
+        # A trace shows every round, so only an untraced run skips the idle
+        # ones: each remaining offer round sends n - 1 messages per agent,
+        # and value rounds send nothing, as nobody moves.
+        if (not trace and value_round and breakout is not None
+                and not breakout.offers.any()
+                and solvers.breakout_stuck(tables, values, breakout, ledger.revealed,
+                                           gate_estimates=solver == "dbou")):
+            messages += (n - 1) * n * (round_budget // 2 - rnd // 2)
+            rounds_used = round_budget
             break
 
     outcome = metrics(inst, ledger, tuple(values.tolist()),

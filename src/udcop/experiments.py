@@ -109,7 +109,7 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
             inst = generate(cfg.gen_config(density, seed))
             for algo in cfg.algorithms:
                 outcome, _ = run(inst, algo, cfg.solver_params, seed=seed,
-                                 round_budget=cfg.round_budget)
+                                 round_budget=cfg.round_budget, trace=False)
                 rows.append(MetricsRow(algo, density, seed, *(
                     getattr(outcome, name) for name in _OUTCOME_COLUMNS)))
     return rows

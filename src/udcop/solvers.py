@@ -336,6 +336,30 @@ def dbo_resolve(state: BreakoutState, tables: AgentTables,
     return StepResult(change, state.new_values, state.offers, state.offers), increments
 
 
+def breakout_stuck(tables: AgentTables, values: np.ndarray, state: BreakoutState,
+                   revealed: np.ndarray, gate_estimates: bool = False) -> bool:
+    """True when, from a round with no offer on, no agent can ever offer.
+
+    While nobody moves, a weight round raises only entries (i, j, code_j,
+    code_i), which enter agent i's evaluation of its current value alone,
+    and `revealed` stays fixed. So agent i's only possible offer is v*_i,
+    its best other value (smallest on ties), at a fixed evaluation and
+    with a fixed gate verdict. When no agent has a finite v*_i that passes
+    the gate, nobody offers again, and as long as some pair disagrees every
+    offer round raises weights, so the run goes on idle to its budget.
+    """
+    if (values == values[0]).all():    # no weight to raise: the quiet rule stops it
+        return False
+    evals = local_eval_all(tables, values, state.weights)
+    evals[np.arange(len(values)), values - 1] = np.inf
+    others = evals.argmin(axis=1) + 1
+    can_offer = np.isfinite(_at(evals, others))
+    if gate_estimates:
+        can_offer &= (_estimate(tables, _also_revealing(revealed, others))
+                      < _estimate(tables, revealed))
+    return not can_offer.any()
+
+
 def apply_weight_increments(weights: ExcessWeights, increments: np.ndarray) -> None:
     """Raise the weight of each entry in `increments` (distinct keys) by 1."""
     if increments.size == 0:

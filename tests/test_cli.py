@@ -15,6 +15,7 @@ from udcop.experiments import SweepConfig
 from udcop.generator import GenConfig
 from udcop.model import instance_to_json, load_instance
 from udcop.presets import three_student_meeting
+from udcop.solvers import SOLVER_KINDS
 
 
 def _src_env() -> dict:
@@ -45,6 +46,21 @@ def test_solve_prints_outcome(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "privacy_loss_per_agent" in out
     assert trace_path.read_text().startswith("round\tagent")
+
+
+def test_solve_prints_the_same_with_and_without_trace(tmp_path, capsys):
+    # without --trace the run is untraced, and a stuck breakout run is not
+    # simulated to its budget: the printed outcome must not show it
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--agents", "10", "--values", "10", "--density", "0.3",
+          "--seed", "3", "--out", str(inst_path)])
+    capsys.readouterr()
+    for algo in SOLVER_KINDS:
+        solve = ["solve", "--in", str(inst_path), "--algo", algo, "--seed", "5"]
+        assert main(solve) == 0
+        untraced = capsys.readouterr().out
+        assert main(solve + ["--trace", str(tmp_path / f"{algo}.tsv")]) == 0
+        assert capsys.readouterr().out == untraced, algo
 
 
 def test_solve_missing_file_is_exit_2(tmp_path, capsys):

@@ -316,9 +316,25 @@ class TestInfiniteCosts:
                                                     seed=seed, round_budget=20)
             assert outcome == ref_outcome
             assert traces == ref_traces
+            assert run(inst, solver, SolverParams(), seed=seed, round_budget=20,
+                       trace=False) == (outcome, [])
             # value rounds show its evaluation, offer rounds its offer
             assert all(t.est_current[0] == math.inf for t in traces[0::2])
             assert all(t.est_current[0] == 0.0 for t in traces[1::2])
+
+
+class TestUntracedRun:
+    @pytest.mark.parametrize("solver", ["dbo", "dbou"])
+    def test_agents_that_cannot_agree_run_to_the_budget(self, solver):
+        # stuck from round 1, so an untraced run skips every later round
+        inst = Instance(kind="udcop", n=2, d=2, domains=((1,), (2,)), unary=({}, {}),
+                        privacy=({1: 1.0}, {2: 2.0}))
+        for budget in range(1, 7):
+            outcome, traces = run(inst, solver, seed=0, round_budget=budget)
+            assert outcome.rounds == len(traces) == budget
+            assert outcome.messages == 2 + 2 * (budget // 2)
+            assert run(inst, solver, seed=0, round_budget=budget,
+                       trace=False) == (outcome, [])
 
 
 class TestBreakoutMemory:
@@ -382,3 +398,5 @@ class TestMatchesPerAgentReference:
             assert outcome == ref_outcome, solver
             assert format_trace(traces) == format_trace(ref_traces), solver
             assert traces == ref_traces, solver
+            assert run(inst, solver, params, seed=seed, round_budget=budget,
+                       trace=False) == (outcome, []), solver

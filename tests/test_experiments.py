@@ -5,7 +5,8 @@ from dataclasses import fields
 
 import pytest
 
-from udcop.engine import Outcome, SolverParams
+from udcop import solvers
+from udcop.engine import Outcome, SolverParams, run
 from udcop.experiments import (CSV_HEADER, MetricsRow, SweepConfig, aggregate,
                                row_seed, rows_to_csv, run_sweep,
                                summary_to_text, write_outputs)
@@ -192,3 +193,42 @@ def test_config_checks_itself(fields, message):
 def test_a_single_agent_has_no_penalty_share_to_check():
     # with one agent there is no pair to share W, as in engine.run
     SweepConfig(n=1, solver_params=SolverParams(penalty=5e-324))
+
+
+def test_rounds_an_untraced_dbou_run_skips_are_idle(monkeypatch):
+    # The sweep runs untraced, so a stuck breakout run is not simulated to
+    # its budget. The traced run of the same inputs shows what was skipped.
+    cfg = SweepConfig(densities=(0.3,), instances_per_cell=10)
+    steps = []          # one entry per simulated breakout round
+    stuck_at = []       # rounds simulated when breakout_stuck first held
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            steps.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def spy(*args, **kwargs):
+        held = stuck(*args, **kwargs)
+        if held:
+            stuck_at.append(len(steps))
+        return held
+
+    stuck = solvers.breakout_stuck
+    monkeypatch.setattr(solvers, "breakout_stuck", spy)
+    monkeypatch.setattr(solvers, "dbo_send_improve", counted(solvers.dbo_send_improve))
+    monkeypatch.setattr(solvers, "dbo_resolve", counted(solvers.dbo_resolve))
+    for k in range(cfg.instances_per_cell):
+        seed = row_seed(cfg, 0, k)
+        inst = generate(cfg.gen_config(0.3, seed))
+        steps.clear()
+        stuck_at.clear()
+        outcome, _ = run(inst, "dbou", cfg.solver_params, seed=seed,
+                         round_budget=cfg.round_budget, trace=False)
+        assert len(stuck_at) == 1, k
+        traced, traces = run(inst, "dbou", cfg.solver_params, seed=seed,
+                             round_budget=cfg.round_budget)
+        assert traced == outcome
+        assert len(traces) == cfg.round_budget
+        for t in traces[stuck_at[0]:]:
+            assert "change" not in t.actions and not any(c > 0 for c in t.charged), k

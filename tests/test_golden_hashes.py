@@ -34,6 +34,14 @@ def test_small_sweep_summary_is_unchanged():
         "7509ad4f5909df546334fba53a8873bc7986f8a00bfc97095f31ef34ecbeca6a"
 
 
+def test_default_sweep_csv_and_summary_are_unchanged():
+    rows = run_sweep(SweepConfig())
+    assert sha256(rows_to_csv(rows)) == \
+        "f87e32e5961dc22cb0da110a9bb0a1430524e8623f776be4c4dcdf0db5a52edf"
+    assert sha256(summary_to_text(aggregate(rows))) == \
+        "c6a8c054130ed8f6d5814d2b1ff7d84b69c4c51cc0fea914fece530626d8375a"
+
+
 TRACE_HASHES = {
     ("udcop", "dsa"): "9a0ebf1270d79c71fb1f00faa193975f64dd481214a3f449b078fc05269d81a1",
     ("udcop", "dsau"): "127a07bbfdf67261ef4b6691d4b3faa27542a5c3df31cc56c80f10c8a2ed743a",
