@@ -5,9 +5,10 @@ current values), ``pending`` (bool[n], a value announcement is queued) and
 the `RevealLedger`, whose ``revealed`` mask (bool[n, d]) records the values
 each agent has announced and is the one record that both the privacy
 charges and the revelation-aware estimates read. The breakout solvers add
-a `solvers.BreakoutState`: offers, target values and the breakout
-weights, stored sparsely as their excess over 1 for the entries actually
-raised, so their memory follows the raised entries rather than n²d².
+a `solvers.BreakoutState`: offers, target values, which agents can still
+offer, and the breakout weights, stored sparsely as their excess over 1
+for the entries actually raised, so their memory follows the raised
+entries rather than n²d².
 
 Each round runs two phases:
 
@@ -29,13 +30,14 @@ The breakout solvers alternate value rounds (odd) and improve rounds
 (even), so one of their exchange cycles spans two engine rounds.
 
 A run stops at the round budget or after two consecutive quiet rounds (no
-value adoption and no weight change). An untraced breakout run that is
-provably stuck reports its budget-length outcome without simulating the
-idle rounds: while nobody moves, weight rounds raise only each agent's
-evaluation of its current value, so an agent with no offer to make on its
-other values never gets one (`solvers.breakout_stuck`). Given (instance,
-solver, params, seed) the full trace is reproducible bit for bit: agents
-only ever observe previous-phase state.
+value adoption and no weight change). Every breakout value round's offer
+pass, traced or not, also records which agents can still offer
+(`solvers.BreakoutState.can_offer`); when none can while some pair
+disagrees, the run is stuck and would go on idle to its budget. Only an
+untraced run acts on that verdict: it reports its budget-length outcome
+without simulating the idle rounds. Given (instance, solver, params,
+seed) the full trace is reproducible bit for bit: agents only ever
+observe previous-phase state.
 
 An `Instance` and a `SolverParams` each check themselves when they are
 built; a run first checks its penalty share, round budget and seed
@@ -217,8 +219,9 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
 
     Returns the outcome plus one trace record per executed round. With
     ``trace=False`` it records no trace and returns an empty list, and a
-    breakout run that is provably stuck (`solvers.breakout_stuck`) stops
-    simulating and reports the outcome of its idle rounds to the budget.
+    breakout run whose offer pass finds that no agent can offer any more
+    while some pair disagrees stops simulating and reports the outcome of
+    its idle rounds to the budget.
     """
     if solver not in SOLVER_KINDS:
         raise ValueError(f"solver: unknown solver {solver!r}; expected one of {SOLVER_KINDS}")
@@ -272,9 +275,7 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
             res = solvers.dbo_send_improve(breakout, tables, values, ledger.revealed,
                                            gate_estimates=solver == "dbou")
         else:
-            res, increments = solvers.dbo_resolve(breakout, tables, values)
-            solvers.apply_weight_increments(breakout.weights, increments)
-            weights_changed = increments.size > 0
+            res, weights_changed = solvers.dbo_resolve(breakout, tables, values)
         values = np.where(res.change, res.candidate, values)
         pending |= res.change
 
@@ -294,12 +295,13 @@ def run(inst: Instance, solver: str, params: SolverParams | None = None,
         if quiet >= QUIET_ROUNDS_TO_STOP:
             break
         # A trace shows every round, so only an untraced run skips the idle
-        # ones: each remaining offer round sends n - 1 messages per agent,
-        # and value rounds send nothing, as nobody moves.
+        # ones once no agent can offer while some pair disagrees: each
+        # remaining offer round sends n - 1 messages per agent, and value
+        # rounds send nothing. Agreeing agents raise no weight, so the quiet
+        # rule ends their run and reports the actual round.
         if (not trace and value_round and breakout is not None
-                and not breakout.offers.any()
-                and solvers.breakout_stuck(tables, values, breakout, ledger.revealed,
-                                           gate_estimates=solver == "dbou")):
+                and not breakout.can_offer.any()
+                and not (values == values[0]).all()):
             messages += (n - 1) * n * (round_budget // 2 - rnd // 2)
             rounds_used = round_budget
             break

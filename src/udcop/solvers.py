@@ -7,7 +7,8 @@
   default, the candidate does not worsen the local evaluation).
 * ``dbo``   -- breakout: exchange best-improvement offers, let the single
   best improver in the neighborhood move, and raise weights of violated
-  pairs when nobody can improve.
+  pairs when nobody can improve. Each offer pass also gives the stuck
+  verdict: which agents can still offer at all (`BreakoutState.can_offer`).
 * ``dbou``  -- breakout gated by the same revelation-aware estimate.
 * ``molex`` -- baseline that compares (privacy, cost) pairs of candidate
   and current value lexicographically, privacy first.
@@ -279,39 +280,54 @@ class BreakoutState:
 
     offers: np.ndarray          # float64[n]: improvement offered, 0 for none
     new_values: np.ndarray      # int64[n]: value taken if the offer wins
+    can_offer: np.ndarray       # bool[n]: may still offer in a later round
     weights: ExcessWeights = field(default_factory=ExcessWeights)
 
 
 def new_breakout_state(values: np.ndarray) -> BreakoutState:
-    return BreakoutState(offers=np.zeros(len(values)), new_values=values.copy())
+    # `can_offer` is set by each offer round. Its False is final while
+    # nobody moves: a weight round then raises only entries (i, j, code_j,
+    # code_i), which enter agent i's evaluation of its current value alone,
+    # and `revealed` stays fixed. So agent i's only possible offer is its
+    # best other value, at a fixed evaluation and with a fixed gate verdict.
+    n = len(values)
+    return BreakoutState(offers=np.zeros(n), new_values=values.copy(),
+                         can_offer=np.ones(n, dtype=bool))
 
 
 def dbo_send_improve(state: BreakoutState, tables: AgentTables, values: np.ndarray,
                      revealed: np.ndarray, gate_estimates: bool = False) -> StepResult:
     """Compute every agent's best possible improvement and its offer.
 
-    Updates the offers and target values on `state`. With `gate_estimates`
-    (dbou) an offer is withdrawn unless revealing the best value strictly
-    lowers the cost estimate.
+    Updates the offers, target values and `can_offer` on `state`: an agent
+    can offer when its best other value (smallest on ties) evaluates finite
+    and, with `gate_estimates` (dbou), revealing it strictly lowers the cost
+    estimate; it offers when that value also beats its current one.
     """
     evals = local_eval_all(tables, values, state.weights)
     possible = evals.argmin(axis=1) + 1
     current = _at(evals, values)
     best = _at(evals, possible)
-    # best < current, not current - best > 0: for an agent whose every
-    # value costs inf the difference is inf - inf = nan
-    offer = best < current
+    evals[np.arange(len(values)), values - 1] = np.inf
+    other = evals.argmin(axis=1) + 1        # best other value, smallest on ties
+    other_eval = _at(evals, other)
+    can_offer = np.isfinite(other_eval)
     if gate_estimates:
-        offer &= (_estimate(tables, _also_revealing(revealed, possible))
-                  < _estimate(tables, revealed))
-    state.offers = np.subtract(current, best, out=np.zeros(len(values)), where=offer)
-    state.new_values = np.where(offer, possible, values)
+        can_offer &= (_estimate(tables, _also_revealing(revealed, other))
+                      < _estimate(tables, revealed))
+    # Where other_eval < current, `other` is the row's first minimum
+    # `possible` too. other_eval < current, not current - other_eval > 0:
+    # for an agent whose every value costs inf the difference is nan.
+    offer = can_offer & (other_eval < current)
+    state.can_offer = can_offer
+    state.offers = np.subtract(current, other_eval, out=np.zeros(len(values)), where=offer)
+    state.new_values = np.where(offer, other, values)
     return StepResult(np.zeros(len(values), dtype=bool), possible, current, best)
 
 
 def dbo_resolve(state: BreakoutState, tables: AgentTables,
-                values: np.ndarray) -> tuple[StepResult, np.ndarray]:
-    """Decide the move and the weight increments from the offer exchange.
+                values: np.ndarray) -> tuple[StepResult, bool]:
+    """Decide the move from the offer exchange, or raise the weights.
 
     Every agent sees every offer, so the single mover is the first agent
     with the greatest offer (ties to the smallest id), if that offer is
@@ -320,44 +336,21 @@ def dbo_resolve(state: BreakoutState, tables: AgentTables,
     "only agents with a nonzero evaluation", changes nothing: with a
     per-pair penalty above 0 an evaluation of 0 means no violated pair.)
 
-    Returns the step result and the raised entries as weight keys; apply
-    them with :func:`apply_weight_increments`.
+    Returns the step result and whether any weight was raised.
     """
     n, d = tables.eval_unary.shape
     mover = int(np.argmax(state.offers))
     change = np.zeros(n, dtype=bool)
-    increments = np.empty(0, dtype=np.int64)
+    raised = False
     if state.offers[mover] > 0:
         change[mover] = True
     else:
         codes = values - 1
         agent, neighbor = np.nonzero(codes != codes[:, None])
-        increments = kernels.weight_keys(n, d, agent, neighbor, codes[neighbor], codes[agent])
-    return StepResult(change, state.new_values, state.offers, state.offers), increments
-
-
-def breakout_stuck(tables: AgentTables, values: np.ndarray, state: BreakoutState,
-                   revealed: np.ndarray, gate_estimates: bool = False) -> bool:
-    """True when, from a round with no offer on, no agent can ever offer.
-
-    While nobody moves, a weight round raises only entries (i, j, code_j,
-    code_i), which enter agent i's evaluation of its current value alone,
-    and `revealed` stays fixed. So agent i's only possible offer is v*_i,
-    its best other value (smallest on ties), at a fixed evaluation and
-    with a fixed gate verdict. When no agent has a finite v*_i that passes
-    the gate, nobody offers again, and as long as some pair disagrees every
-    offer round raises weights, so the run goes on idle to its budget.
-    """
-    if (values == values[0]).all():    # no weight to raise: the quiet rule stops it
-        return False
-    evals = local_eval_all(tables, values, state.weights)
-    evals[np.arange(len(values)), values - 1] = np.inf
-    others = evals.argmin(axis=1) + 1
-    can_offer = np.isfinite(_at(evals, others))
-    if gate_estimates:
-        can_offer &= (_estimate(tables, _also_revealing(revealed, others))
-                      < _estimate(tables, revealed))
-    return not can_offer.any()
+        raised = agent.size > 0
+        apply_weight_increments(state.weights, kernels.weight_keys(
+            n, d, agent, neighbor, codes[neighbor], codes[agent]))
+    return StepResult(change, state.new_values, state.offers, state.offers), raised
 
 
 def apply_weight_increments(weights: ExcessWeights, increments: np.ndarray) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from reference_engine import dense_weights
+from reference_engine import dense_weights, estimate, make_ctx
 from udcop import solvers
 from udcop.engine import SolverParams, format_trace, run
 from udcop.experiments import SweepConfig, aggregate, rows_to_csv, run_sweep
@@ -141,9 +141,10 @@ def test_c6_breakout_properties(monkeypatch):
 
     def spy(state, tables, values, revealed, gate_estimates=False):
         n, d = tables.eval_unary.shape
-        snapshot = (tables, values - 1, dense_weights(state.weights, n, d))
+        snapshot = (tables, values - 1, dense_weights(state.weights, n, d),
+                    revealed.copy())
         res = real(state, tables, values, revealed, gate_estimates)
-        captured.append((snapshot, res.candidate.copy()))
+        captured.append((snapshot, res.candidate.copy(), state.can_offer.copy()))
         return res
 
     monkeypatch.setattr(solvers, "dbo_send_improve", spy)
@@ -163,7 +164,8 @@ def test_c6_breakout_properties(monkeypatch):
             # weights rebuilt densely: weights[i, j, v, w] is agent i's
             # weight for the pair (self=v, neighbor j=w)
             previous = None
-            for (tables, codes, weights), candidates in captured:
+            ctxs = [make_ctx(inst, i, SolverParams()) for i in range(inst.n)]
+            for (tables, codes, weights, revealed), candidates, can_offer in captured:
                 for i in range(inst.n):
                     evals = []
                     for code in range(inst.d):
@@ -174,6 +176,16 @@ def test_c6_breakout_properties(monkeypatch):
                         evals.append(total)
                     best = min(range(inst.d), key=lambda c: (evals[c], c)) + 1
                     assert candidates[i] == best
+
+                    # an agent can still offer iff its best other value is
+                    # finite and, for dbou, revealing it lowers the estimate
+                    other = min((c for c in range(inst.d) if c != codes[i]),
+                                key=lambda c: (evals[c], c)) + 1
+                    shown = {c + 1 for c in np.flatnonzero(revealed[i])}
+                    expected = evals[other - 1] < np.inf and (
+                        algo == "dbo"
+                        or estimate(ctxs[i], shown | {other}) < estimate(ctxs[i], shown))
+                    assert can_offer[i] == expected
 
                 # weights start at 1 and never decrease
                 assert (weights >= 1).all()

@@ -5,7 +5,8 @@ It reads perfbench without changing it. The benchmark's own tests also
 assume that the engine binds `build_agent_context` by name and calls it
 once per agent per run, and the sweep workload times a cell from one call
 of `experiments.generate` to the next and indexes the rows by cell; the
-last tests pin these.
+last tests pin these, and that the breakout pair raises its weights
+through the module attribute the traced run replaces.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ from pathlib import Path
 
 from udcop import engine, experiments, solvers
 from udcop.experiments import SweepConfig, row_seed
+from udcop.model import Instance
 from udcop.presets import three_student_meeting
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -100,3 +102,20 @@ def test_rows_are_indexed_by_density_instance_and_algorithm():
             seed = row_seed(SMALL_SWEEP, di, k)
             assert [(r.density, r.seed, r.algorithm) for r in cell] == \
                 [(density, seed, algo) for algo in algorithms]
+
+
+def test_dbo_raises_weights_through_the_module_attribute(monkeypatch):
+    # agents fixed on different values never agree, so nobody can offer
+    # and every resolve round raises weights
+    inst = Instance(kind="udcop", n=2, d=2, domains=((1,), (2,)), unary=({}, {}),
+                    privacy=({1: 1.0}, {2: 1.0}), penalty=100.0)
+    raised = []
+
+    def spy(weights, increments):
+        raised.append(increments.size)
+        return real(weights, increments)
+
+    real = solvers.apply_weight_increments
+    monkeypatch.setattr(solvers, "apply_weight_increments", spy)
+    engine.run(inst, "dbo", seed=1, round_budget=4)
+    assert raised == [2, 2]

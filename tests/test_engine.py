@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from reference_engine import run_reference
+from udcop import solvers
 from udcop.engine import RevealLedger, SolverParams, format_trace, metrics, run
 from udcop.generator import GenConfig, generate
 from udcop.model import (KINDS, Instance, InstanceValidationError,
@@ -378,6 +380,33 @@ def test_instance_file_round_trips(inst):
     assert instance_from_json(instance_to_json(inst)) == inst
 
 
+def recording_offer_passes(passes):
+    """Patch `solvers.dbo_send_improve` to append (round, can_offer, values)
+    of each breakout offer pass; the k-th pass runs in value round 2k - 1."""
+    real = solvers.dbo_send_improve
+
+    def spy(state, tables, values, *args, **kwargs):
+        res = real(state, tables, values, *args, **kwargs)
+        passes.append((2 * len(passes) + 1, state.can_offer.copy(), values.copy()))
+        return res
+
+    return mock.patch.object(solvers, "dbo_send_improve", spy)
+
+
+def check_idle_once_stuck(passes, traces, budget):
+    """From the first offer pass where no agent can offer while the agents
+    disagree, nobody moves or pays again and the run reaches its budget."""
+    stuck = next((rnd for rnd, can_offer, values in passes
+                  if not can_offer.any() and not (values == values[0]).all()), None)
+    if stuck is None:
+        return
+    event("stuck")
+    assert len(traces) == budget
+    for t in traces[stuck:]:
+        assert t.values == traces[stuck - 1].values and "change" not in t.actions
+        assert not any(c > 0 for c in t.charged)
+
+
 class TestMatchesPerAgentReference:
     @settings(max_examples=80, deadline=None)
     @given(inst=edge_instances(),
@@ -392,7 +421,10 @@ class TestMatchesPerAgentReference:
         params = SolverParams(p=p, divisor_mode=divisor_mode, penalty=penalty,
                               pure_alg2=pure_alg2)
         for solver in SOLVER_KINDS:
-            outcome, traces = run(inst, solver, params, seed=seed, round_budget=budget)
+            passes = []
+            with recording_offer_passes(passes):
+                outcome, traces = run(inst, solver, params, seed=seed, round_budget=budget)
+            check_idle_once_stuck(passes, traces, budget)
             ref_outcome, ref_traces = run_reference(inst, solver, params, seed=seed,
                                                     round_budget=budget)
             assert outcome == ref_outcome, solver

@@ -200,7 +200,8 @@ def test_rounds_an_untraced_dbou_run_skips_are_idle(monkeypatch):
     # its budget. The traced run of the same inputs shows what was skipped.
     cfg = SweepConfig(densities=(0.3,), instances_per_cell=10)
     steps = []          # one entry per simulated breakout round
-    stuck_at = []       # rounds simulated when breakout_stuck first held
+    stuck_at = []       # rounds simulated when no agent could offer any more
+                        # while the agents disagreed
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -208,15 +209,14 @@ def test_rounds_an_untraced_dbou_run_skips_are_idle(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def spy(*args, **kwargs):
-        held = stuck(*args, **kwargs)
-        if held:
+    def offer_pass(state, tables, values, *args, **kwargs):
+        res = send_improve(state, tables, values, *args, **kwargs)
+        if not state.can_offer.any() and not (values == values[0]).all():
             stuck_at.append(len(steps))
-        return held
+        return res
 
-    stuck = solvers.breakout_stuck
-    monkeypatch.setattr(solvers, "breakout_stuck", spy)
-    monkeypatch.setattr(solvers, "dbo_send_improve", counted(solvers.dbo_send_improve))
+    send_improve = counted(solvers.dbo_send_improve)
+    monkeypatch.setattr(solvers, "dbo_send_improve", offer_pass)
     monkeypatch.setattr(solvers, "dbo_resolve", counted(solvers.dbo_resolve))
     for k in range(cfg.instances_per_cell):
         seed = row_seed(cfg, 0, k)

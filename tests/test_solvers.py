@@ -272,8 +272,8 @@ class TestBreakout:
         assert res.est_current[0] == 0.0
         assert state.offers[0] == 0.0
         # agreeing agents violate no pair, so nobody raises a weight
-        res, increments = dbo_resolve(state, tables, arr(1, 1))
-        assert not res.change.any() and increments.size == 0
+        res, raised = dbo_resolve(state, tables, arr(1, 1))
+        assert not res.change.any() and not raised
 
     def test_improvement_equals_removed_pair_penalty(self):
         tables, state, res = offer_round(arr(1, 2))
@@ -288,6 +288,21 @@ class TestBreakout:
         assert state.offers[0] == 0.0
         assert state.new_values[0] == 1
         assert not state.offers[0] > 0        # quasi-local minimum
+        assert not state.can_offer[0]         # and it stays shut while nobody moves
+
+    def test_can_offer_needs_a_finite_other_value(self):
+        # agents fixed on domains (1,) and (2,) have no other value; the
+        # third can offer its other value whether or not it gains now
+        inst = Instance(kind="udcop", n=3, d=2, domains=((1,), (2,), (1, 2)),
+                        unary=({},) * 3, privacy=({1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}),
+                        penalty=100.0)
+        for third in (1, 2):
+            values = arr(1, 2, third)
+            state = new_breakout_state(values)
+            dbo_send_improve(state, tables_for(inst), values, mask(2, {1}, {2}, {third}))
+            assert state.can_offer.tolist() == [False, False, True]
+        _, state, _ = offer_round(arr(1, 1))
+        assert state.can_offer.tolist() == [True, True]
 
     def test_tie_breaks_to_smallest_agent_id(self):
         tables = tables_for(agents_on_two_values(6))
@@ -303,13 +318,12 @@ class TestBreakout:
         tables = tables_for(agents_on_two_values())
         values = arr(1, 2)
         state = new_breakout_state(values)    # disagreeing, nobody offers
-        res, increments = dbo_resolve(state, tables, values)
-        assert not res.change.any()
-        raised = list(zip(*(k.tolist() for k in np.unravel_index(increments, (2, 2, 2, 2)))))
-        # (agent, neighbor, neighbor_code, own_code)
-        assert raised == [(0, 1, 1, 0), (1, 0, 0, 1)]
-        apply_weight_increments(state.weights, increments)
-        assert dense_weights(state.weights, 2, 2)[0, 1, 0, 1] == 2
+        res, raised = dbo_resolve(state, tables, values)
+        assert not res.change.any() and raised
+        # [agent, neighbor, own_code, neighbor_code]: each agent's violated pair
+        dense = dense_weights(state.weights, 2, 2)
+        assert dense[0, 1, 0, 1] == 2 and dense[1, 0, 1, 0] == 2
+        assert dense.sum() == 16 + 2
 
     def test_missing_improve_messages_treated_as_zero(self):
         # agent 1 offers nothing: agent 0's positive offer wins alone
